@@ -54,7 +54,10 @@ NEW ?= BENCH_kernel.json
 bench-compare:
 	$(PYTHON) -m repro bench --compare $(OLD) $(NEW)
 
-# pytest-benchmark micro-benchmarks (timer wheel, heap ops).
+# The paper reproductions under benchmarks/ (every figure and in-text
+# result; tables land in results/), each run exactly once under
+# pytest-benchmark's `benchmark` fixture so the report times them end
+# to end.  There are no micro-benchmarks.
 bench-micro:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 

@@ -33,14 +33,11 @@ _RNG_HOME_SUFFIX = "repro/sim/rng.py"
 
 #: ...and these are the sanctioned homes of process machinery and host
 #: clocks (CTMS103/CTMS303 off there): the campaign supervisor bridges
-#: the clock domains (docs/FLEET.md), the bench harness *measures* the
-#: host clock on purpose (docs/OBSERVABILITY.md), and the event-calendar
-#: backends are sim-kernel machinery whose ordering the equivalence
-#: golden tests pin down (docs/KERNEL.md).
+#: the clock domains (docs/FLEET.md) and the bench harness *measures* the
+#: host clock on purpose (docs/OBSERVABILITY.md).
 _PROCESS_HOME_SUFFIXES = (
     "repro/experiments/fleet.py",
     "repro/bench/harness.py",
-    "repro/sim/scheduler.py",
 )
 
 #: ...and the one sanctioned home of control-plane policy decisions

@@ -306,7 +306,6 @@ OS_NONDETERMINISM_FUNCTIONS: frozenset[str] = frozenset(
 #: seeded streams; experiments/fleet.py is the one wall-clock bridge).
 SANCTIONED_HOME_SUFFIXES: tuple[str, ...] = (
     "repro/sim/rng.py",
-    "repro/sim/scheduler.py",
     "repro/experiments/fleet.py",
     "repro/bench/harness.py",
 )

@@ -3,8 +3,7 @@
 Three standard workloads, smallest to largest grain:
 
 * ``kernel`` -- one clean CTMSP stream on a fresh testbed: the pure
-  event-kernel hot path (the number the calendar-queue/slot-cache work
-  must move);
+  event-kernel hot path (the number a kernel optimisation must move);
 * ``chaos_point`` -- one chaos point at intensity 1.0: the kernel plus
   fault injection and invariant monitoring, i.e. one fleet work unit;
 * ``fleet_campaign`` -- a small serial campaign through the real fleet

@@ -110,11 +110,8 @@ class Testbed:
         insertions_per_day: float = 0.0,
         soft_errors_per_hour: float = 0.0,
         profile: bool = False,
-        scheduler: object = "calendar",
     ) -> None:
-        # ``scheduler`` passes straight through to :class:`Simulator` --
-        # "heapq" or a constructed backend for A/B and tuning runs.
-        self.sim = Simulator(profile=profile, scheduler=scheduler)
+        self.sim = Simulator(profile=profile)
         #: Optional observability flight recorder (``repro.obs.flight``).
         #: Invariant monitors snapshot through it, duck-typed, when set.
         self.flight_recorder = None

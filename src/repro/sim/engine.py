@@ -13,11 +13,13 @@ and two complementary programming models on top:
 Both models interoperate: a callback can ``succeed()`` an event a process is
 waiting on, and a process can schedule callbacks.
 
-The calendar's storage is pluggable (:mod:`repro.sim.scheduler`): the
-default is a calendar-queue/heap hybrid tuned for this testbed's time
-distribution, with the classic single binary heap available as
-``Simulator(scheduler="heapq")`` for A/B runs and golden-trace equivalence
-tests.  Both backends dispatch in identical ``(time, jitter, seq)`` order.
+The calendar is one binary heap (``heapq``) of plain tuples::
+
+    (time_ns, tiebreak, seq, handle_or_None, fn, args)
+
+``tiebreak`` is ``0`` under the default FIFO policy and a seeded 32-bit draw
+under ``tiebreak="random"``; ``seq`` is unique, so the first three fields
+totally order every entry and the tail is never compared.
 
 Two scheduling tiers exist.  :meth:`Simulator.schedule` / :meth:`Simulator.at`
 return a cancellable :class:`Handle`; :meth:`Simulator.schedule_fast` returns
@@ -30,15 +32,15 @@ from __future__ import annotations
 
 import random
 import time
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from bisect import insort
-from heapq import heappush
-
-from repro.sim.scheduler import CalendarScheduler, make_scheduler
 
 #: Sentinel bound for run(until=None): beyond any representable sim time.
 _FOREVER = 1 << 62
+
+#: Tombstone count below which compaction is never attempted (small queues
+#: recycle naturally; compacting them would cost more than it saves).
+COMPACT_MIN_TOMBSTONES = 64
 
 
 class SimulationError(RuntimeError):
@@ -128,20 +130,20 @@ class Event:
 class Handle:
     """A cancellable scheduled callback returned by :meth:`Simulator.schedule`."""
 
-    __slots__ = ("time", "cancelled", "_sched")
+    __slots__ = ("time", "cancelled", "_sim")
 
-    def __init__(self, time: int, sched: Any) -> None:
+    def __init__(self, time: int, sim: "Simulator") -> None:
         self.time = time
         self.cancelled = False
-        self._sched = sched
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running (a no-op if it already ran)."""
         if not self.cancelled:
             self.cancelled = True
             # Tombstone accounting: the entry stays queued until popped or
-            # compacted away; the backend decides when skips outweigh work.
-            self._sched.note_cancel()
+            # compacted away; the simulator decides when skips outweigh work.
+            self._sim._note_cancel()
 
 
 class Process(Event):
@@ -233,12 +235,11 @@ class Simulator:
     simulated state must happen from inside a scheduled callback or process
     step; the calendar guarantees callbacks run in (time, FIFO) order.
 
-    **Scheduler backends.**  ``scheduler=`` selects the calendar storage:
-    ``"calendar"`` (default) is the calendar-queue/heap hybrid of
-    :mod:`repro.sim.scheduler`; ``"heapq"`` is the classic single binary
-    heap.  Both dispatch in identical order (the equivalence tests pin
-    this); an already-constructed backend instance is accepted for tuning
-    experiments.
+    **Tombstones.**  Cancelling a :class:`Handle` does not remove its entry;
+    the dispatch loop skips it when popped.  Cancellation-heavy models (CPU
+    preemption cancels in-flight completions constantly) would bloat the
+    heap, so the simulator counts live tombstones and compacts -- rebuilds
+    the heap without cancelled entries -- once they outnumber live work.
 
     **Tie-break sanitizer.**  Events scheduled at the *same* instant are
     logically concurrent: a model whose end state depends on their FIFO
@@ -272,7 +273,6 @@ class Simulator:
         tiebreak_seed: int = 0,
         record_trace: bool = False,
         profile: bool = False,
-        scheduler: Any = "calendar",
     ) -> None:
         if tiebreak not in self.TIEBREAKS:
             raise SimulationError(
@@ -290,24 +290,13 @@ class Simulator:
         self._tiebreak_rng: Optional[random.Random] = (
             random.Random(tiebreak_seed) if tiebreak == "random" else None
         )
-        self._sched = make_scheduler(scheduler)
-        self._push = self._sched.push
+        #: The calendar: a binary heap of entries (layout in the module doc).
+        self._queue: list[tuple] = []
+        #: Entries pushed so far; the unique last key of every entry.
         self._seq = 0
-        if self._tiebreak_rng is not None:
-            # The class-level scheduling methods are the fifo fast path
-            # (seq in the tie-break slot, no rng branch); the sanitizer
-            # shadows them with the jitter-drawing variants per instance.
-            self.schedule = self._schedule_jittered  # type: ignore[method-assign]
-            self.schedule_fast = self._schedule_fast_jittered  # type: ignore[method-assign]
-            self.at = self._at_jittered  # type: ignore[method-assign]
-            self.at_fast = self._at_fast_jittered  # type: ignore[method-assign]
-        elif type(self._sched) is CalendarScheduler:
-            # Default configuration (fifo + calendar): shadow schedule_fast
-            # and at_fast with fused closures that place the entry directly
-            # in the calendar ring -- the single hottest call in the tree.
-            fused_fast, fused_at = self._build_fused_fast_paths()
-            self.schedule_fast = fused_fast  # type: ignore[method-assign]
-            self.at_fast = fused_at  # type: ignore[method-assign]
+        #: Cancelled entries not yet popped or compacted away (a cancel after
+        #: the entry ran still counts, so this may overestimate).
+        self._tombstones = 0
         self._running = False
         #: Calendar entries dispatched so far (cancelled entries excluded).
         #: Campaign benchmarks divide this by wall time for their events/sec
@@ -318,24 +307,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
-    # The class-level methods below are the fifo fast path: the unique
-    # sequence number sits directly in the tie-break slot (entry[1]), so a
-    # tuple comparison between same-time entries settles on the second
-    # element and entry[2] is a constant 0.  Under ``tiebreak="random"``
-    # the constructor shadows them with the ``*_jittered`` twins, whose
-    # entries carry ``(time, jitter, seq)`` -- the layouts never mix
-    # because the tie-break policy is fixed per simulator.  Backends only
-    # ever read ``entry[0]`` and compare entries as tuples, and the
-    # dispatch loop reads slots 3..5, which both layouts share.
-
     def schedule(self, delay_ns: int, fn: Callable, *args: Any) -> Handle:
         """Run ``fn(*args)`` after ``delay_ns`` nanoseconds (cancellable)."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule into the past ({delay_ns}ns)")
         time_ns = self.now + delay_ns
-        handle = Handle(time_ns, self._sched)
+        handle = Handle(time_ns, self)
+        rng = self._tiebreak_rng
         self._seq += 1
-        self._push((time_ns, self._seq, 0, handle, fn, args))
+        heappush(self._queue, (
+            time_ns, 0 if rng is None else rng.getrandbits(32), self._seq,
+            handle, fn, args,
+        ))
         return handle
 
     def schedule_fast(self, delay_ns: int, fn: Callable, *args: Any) -> None:
@@ -349,8 +332,12 @@ class Simulator:
         """
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule into the past ({delay_ns}ns)")
+        rng = self._tiebreak_rng
         self._seq += 1
-        self._push((self.now + delay_ns, self._seq, 0, None, fn, args))
+        heappush(self._queue, (
+            self.now + delay_ns, 0 if rng is None else rng.getrandbits(32),
+            self._seq, None, fn, args,
+        ))
 
     def at(self, time_ns: int, fn: Callable, *args: Any) -> Handle:
         """Run ``fn(*args)`` at absolute simulated time ``time_ns``."""
@@ -358,9 +345,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ns}ns, now is {self.now}ns"
             )
-        handle = Handle(time_ns, self._sched)
+        handle = Handle(time_ns, self)
+        rng = self._tiebreak_rng
         self._seq += 1
-        self._push((time_ns, self._seq, 0, handle, fn, args))
+        heappush(self._queue, (
+            time_ns, 0 if rng is None else rng.getrandbits(32), self._seq,
+            handle, fn, args,
+        ))
         return handle
 
     def at_fast(self, time_ns: int, fn: Callable, *args: Any) -> None:
@@ -374,120 +365,29 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ns}ns, now is {self.now}ns"
             )
+        rng = self._tiebreak_rng
         self._seq += 1
-        self._push((time_ns, self._seq, 0, None, fn, args))
+        heappush(self._queue, (
+            time_ns, 0 if rng is None else rng.getrandbits(32), self._seq,
+            None, fn, args,
+        ))
 
-    def _build_fused_fast_paths(self) -> tuple[Callable, Callable]:
-        """Build :meth:`schedule_fast`/:meth:`at_fast` with the calendar push inlined.
+    # -- tombstone accounting ------------------------------------------
+    def _note_cancel(self) -> None:
+        self._tombstones += 1
+        if (
+            self._tombstones > COMPACT_MIN_TOMBSTONES
+            and self._tombstones * 2 > len(self._queue)
+        ):
+            # In place: run() holds the list in a local across callbacks.
+            queue = self._queue
+            queue[:] = [e for e in queue if e[3] is None or not e[3].cancelled]
+            heapify(queue)
+            self._tombstones = 0
 
-        Installed by the constructor for the default fifo + calendar
-        configuration only.  The closures cache the scheduler's immutable
-        geometry -- bucket width, count, mask, and the bucket ring itself
-        (its lists are cleared in place by ``compact()``, never rebound) --
-        as cell variables, which CPython loads faster than ``__slots__``
-        attributes.  The mutable cursor state (``_cab``/``_cur``/``_idx``/
-        ``_nbucketed``) and ``_overflow`` (rebound by ``compact()``) stay
-        attribute reads.  The bodies must mirror ``push()`` exactly (same
-        bucket selection, same active-bucket insort) -- the backend
-        equivalence tests catch drift.
-        """
-        sched = self._sched
-        wb = sched._wb
-        nb = sched._nb
-        mask = sched._mask
-        buckets = sched._buckets
-        err = SimulationError
-
-        def schedule_fast(delay_ns: int, fn: Callable, *args: Any) -> None:
-            if delay_ns < 0:
-                raise err(f"cannot schedule into the past ({delay_ns}ns)")
-            seq = self._seq + 1
-            self._seq = seq
-            t = self.now + delay_ns
-            entry = (t, seq, 0, None, fn, args)
-            ab = t >> wb
-            if ab - sched._cab < nb:
-                bucket = buckets[ab & mask]
-                if bucket is sched._cur:
-                    insort(bucket, entry, sched._idx)
-                else:
-                    bucket.append(entry)
-                sched._nbucketed += 1
-            else:
-                heappush(sched._overflow, entry)
-
-        def at_fast(time_ns: int, fn: Callable, *args: Any) -> None:
-            if time_ns < self.now:
-                raise err(
-                    f"cannot schedule at {time_ns}ns, now is {self.now}ns"
-                )
-            seq = self._seq + 1
-            self._seq = seq
-            entry = (time_ns, seq, 0, None, fn, args)
-            ab = time_ns >> wb
-            if ab - sched._cab < nb:
-                bucket = buckets[ab & mask]
-                if bucket is sched._cur:
-                    insort(bucket, entry, sched._idx)
-                else:
-                    bucket.append(entry)
-                sched._nbucketed += 1
-            else:
-                heappush(sched._overflow, entry)
-
-        return schedule_fast, at_fast
-
-    # -- tiebreak="random" twins: same semantics, jitter drawn per entry --
-
-    def _schedule_jittered(self, delay_ns: int, fn: Callable, *args: Any) -> Handle:
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule into the past ({delay_ns}ns)")
-        time_ns = self.now + delay_ns
-        handle = Handle(time_ns, self._sched)
-        self._seq += 1
-        self._push(
-            (time_ns, self._tiebreak_rng.getrandbits(32), self._seq,
-             handle, fn, args)
-        )
-        return handle
-
-    def _schedule_fast_jittered(
-        self, delay_ns: int, fn: Callable, *args: Any
-    ) -> None:
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule into the past ({delay_ns}ns)")
-        self._seq += 1
-        self._push(
-            (self.now + delay_ns, self._tiebreak_rng.getrandbits(32),
-             self._seq, None, fn, args)
-        )
-
-    def _at_jittered(self, time_ns: int, fn: Callable, *args: Any) -> Handle:
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self.now}ns"
-            )
-        handle = Handle(time_ns, self._sched)
-        self._seq += 1
-        # Same-instant entries are concurrent; under the sanitizer their
-        # order is a seeded shuffle instead of FIFO (seq still breaks the
-        # rare jitter collision deterministically).
-        self._push(
-            (time_ns, self._tiebreak_rng.getrandbits(32), self._seq,
-             handle, fn, args)
-        )
-        return handle
-
-    def _at_fast_jittered(self, time_ns: int, fn: Callable, *args: Any) -> None:
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self.now}ns"
-            )
-        self._seq += 1
-        self._push(
-            (time_ns, self._tiebreak_rng.getrandbits(32), self._seq,
-             None, fn, args)
-        )
+    def _note_tombstone_popped(self) -> None:
+        if self._tombstones > 0:
+            self._tombstones -= 1
 
     def event(self, name: str = "") -> Event:
         """Create a pending :class:`Event`."""
@@ -585,54 +485,17 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         limit = _FOREVER if until is None else until
-        sched = self._sched
-        pop = sched.pop
+        queue = self._queue
         dispatched = 0
         try:
             if self._record_trace or self._profile:
-                self._run_instrumented(pop, limit)
-            elif type(sched) is CalendarScheduler:
-                # Fused dispatch for the default backend: serve the active
-                # bucket by index inline, falling back to pop() only for
-                # bucket refills and day boundaries.  The inline path must
-                # mirror the serve arm of CalendarScheduler.pop(); state is
-                # re-read after every callback because a callback may push
-                # into, compact, or peek at the calendar.
-                while True:
-                    cur = sched._cur
-                    if cur is not None:
-                        idx = sched._idx
-                        if idx < len(cur):
-                            entry = cur[idx]
-                            t = entry[0]
-                            if t <= sched._cap and t <= limit:
-                                sched._idx = idx + 1
-                                handle = entry[3]
-                                if handle is not None and handle.cancelled:
-                                    sched.note_tombstone_popped()
-                                    continue
-                                self.now = t
-                                dispatched += 1
-                                entry[4](*entry[5])
-                                continue
-                    entry = pop(limit)
-                    if entry is None:
-                        break
-                    handle = entry[3]
-                    if handle is not None and handle.cancelled:
-                        sched.note_tombstone_popped()
-                        continue
-                    self.now = entry[0]
-                    dispatched += 1
-                    entry[4](*entry[5])
+                self._run_instrumented(limit)
             else:
-                while True:
-                    entry = pop(limit)
-                    if entry is None:
-                        break
+                while queue and queue[0][0] <= limit:
+                    entry = heappop(queue)
                     handle = entry[3]
                     if handle is not None and handle.cancelled:
-                        sched.note_tombstone_popped()
+                        self._note_tombstone_popped()
                         continue
                     self.now = entry[0]
                     dispatched += 1
@@ -643,16 +506,14 @@ class Simulator:
             self.stats_events += dispatched
             self._running = False
 
-    def _run_instrumented(self, pop: Callable, limit: int) -> None:
+    def _run_instrumented(self, limit: int) -> None:
         """The traced/profiled twin of the fast dispatch loop."""
-        sched = self._sched
-        while True:
-            entry = pop(limit)
-            if entry is None:
-                return
+        queue = self._queue
+        while queue and queue[0][0] <= limit:
+            entry = heappop(queue)
             handle = entry[3]
             if handle is not None and handle.cancelled:
-                sched.note_tombstone_popped()
+                self._note_tombstone_popped()
                 continue
             time_ns, fn, args = entry[0], entry[4], entry[5]
             self.now = time_ns
@@ -692,16 +553,15 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Time of the next non-cancelled entry, or None if the calendar is empty."""
-        sched = self._sched
-        while True:
-            entry = sched.first()
-            if entry is None:
-                return None
+        queue = self._queue
+        while queue:
+            entry = queue[0]
             handle = entry[3]
             if handle is None or not handle.cancelled:
                 return entry[0]
-            sched.drop_first()
-            sched.note_tombstone_popped()
+            heappop(queue)
+            self._note_tombstone_popped()
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self.now}ns queued={len(self._sched)}>"
+        return f"<Simulator now={self.now}ns queued={len(self._queue)}>"

@@ -138,3 +138,21 @@ def test_quick_check_against_committed_baseline(capsys):
          "--baseline", str(COMMITTED_BASELINE)]
     )
     assert code == 0, capsys.readouterr().err
+
+
+def test_full_length_event_counts_match_committed_baseline():
+    """Same seed, same calendar: full-length counts equal the artifact's.
+
+    ``check_bench`` compares exact event counts only between two full
+    runs, and the tier-1 smoke above is a quick run -- so this runs each
+    workload once at full length (about 0.2 s in total) and pins its
+    deterministic ``events``/``packets`` to BENCH_kernel.json.  Throughput
+    plays no part.
+    """
+    committed = load_bench(COMMITTED_BASELINE)["workloads"]
+    assert set(committed) == set(WORKLOADS)
+    for name, workload in WORKLOADS.items():
+        sample = workload(False)
+        assert (sample["events"], sample["packets"]) == (
+            committed[name]["events"], committed[name]["packets"]
+        ), name

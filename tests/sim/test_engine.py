@@ -309,6 +309,27 @@ def test_peek_skips_cancelled():
     assert sim.peek() == 9
 
 
+def test_mass_cancellation_compacts_without_reordering():
+    # Cancelling more than half the queue (past the 64-tombstone floor)
+    # from inside a running callback rebuilds the heap mid-run; the
+    # survivors must still run, in time order, exactly once.
+    sim = Simulator()
+    ran = []
+    handles = {t: sim.schedule(t, ran.append, t) for t in range(1, 301)}
+    doomed = [t for t in range(101, 301) if t % 5]
+
+    def cancel_band():
+        for t in doomed:
+            handles[t].cancel()
+        assert len(sim._queue) < 300 - len(doomed) // 2
+
+    sim.schedule(0, cancel_band)
+    sim.run()
+    survivors = [t for t in range(1, 301) if t not in set(doomed)]
+    assert ran == survivors
+    assert sim.stats_events == len(survivors) + 1
+
+
 def test_process_is_named():
     sim = Simulator()
 
