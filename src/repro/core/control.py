@@ -260,6 +260,17 @@ class FailoverRecord:
         return end - self.gap_start_ns
 
 
+def first_arrival_after(arrivals: list[int], t_ns: int) -> Optional[int]:
+    """The first sink arrival strictly after ``t_ns``, or ``None`` if none has come yet.
+
+    This is what closes a failover window: the first arrival after
+    detection ends the delivery gap.  Arrivals never decrease, so a
+    bisect finds it.
+    """
+    i = bisect.bisect_right(arrivals, t_ns)
+    return arrivals[i] if i < len(arrivals) else None
+
+
 @dataclass
 class ManagedSession:
     """One client request under control-plane management.
@@ -315,9 +326,7 @@ class ManagedSession:
         for r in self.failovers:
             end = r.resumed_at_ns
             if end is None:
-                i = bisect.bisect_right(arrivals, r.detected_at_ns)
-                if i < len(arrivals):
-                    end = arrivals[i]
+                end = first_arrival_after(arrivals, r.detected_at_ns)
             windows.append((r.gap_start_ns, end))
         return windows
 
@@ -871,13 +880,10 @@ class SessionControlPlane:
             return
         arrivals = ms.stats.arrival_times
         for record in ms.failovers:
-            if record.resumed_at_ns is not None:
-                continue
-            # First arrival after detection closes the window.
-            for t in arrivals:
-                if t > record.detected_at_ns:
-                    record.resumed_at_ns = t
-                    break
+            if record.resumed_at_ns is None:
+                record.resumed_at_ns = first_arrival_after(
+                    arrivals, record.detected_at_ns
+                )
 
     # ------------------------------------------------------------------
     # reporting

@@ -123,6 +123,13 @@ class StreamInvariantMonitor:
         self._seen: set[str] = set()
         self._finished = False
         self._started = False
+        # Running worst inter-arrival gap: the arrival list it scanned, how
+        # many of its arrivals are folded in, and the failover windows it
+        # was judged under (see _worst_gap).
+        self._gap_arrivals: Optional[list[int]] = None
+        self._gap_folded = 0
+        self._gap_worst = 0
+        self._gap_windows: tuple = ()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -195,10 +202,7 @@ class StreamInvariantMonitor:
             else ()
         )
         if self.max_interarrival_ns is not None and stats.delivered >= 2:
-            if windows:
-                worst = self._worst_unexempt_gap(stats, windows)
-            else:
-                worst = stats.worst_gap_ns()
+            worst = self._worst_gap(stats.arrival_times, windows)
             # A gap still in progress counts too -- the watchdog must fire
             # while the stream is stalled, not after it recovers.  An open
             # failover window exempts the live gap: that stall is being
@@ -243,25 +247,44 @@ class StreamInvariantMonitor:
                 "time(s)",
             )
 
-    @staticmethod
-    def _worst_unexempt_gap(stats, windows) -> int:
+    def _worst_gap(self, arrivals: list[int], windows: tuple) -> int:
         """Worst inter-arrival gap whose interval no failover window covers.
 
         A pair of consecutive arrivals ``(a, b)`` is exempt when some
         window overlaps the open interval between them -- that silence is
         the failover glitch, bounded by its own budget, not a stream
-        stall the playout deadline should punish.
+        stall the playout deadline should punish.  No windows, no
+        exemptions.
+
+        Incremental: each call folds in only the arrivals since the last
+        one, so a tick costs O(new arrivals).  A different windows tuple
+        (a new failover, or an open window closing) can exempt past gaps,
+        and a different or shrunken arrival list invalidates the fold; both
+        rescan from the first arrival.
         """
-        worst = 0
-        arrivals = stats.arrival_times
-        for i in range(1, len(arrivals)):
-            a, b = arrivals[i - 1], arrivals[i]
-            exempt = any(
-                start < b and (end is None or end > a)
-                for start, end in windows
-            )
-            if not exempt:
-                worst = max(worst, b - a)
+        if (
+            arrivals is not self._gap_arrivals
+            or len(arrivals) < self._gap_folded
+            or windows != self._gap_windows
+        ):
+            self._gap_arrivals = arrivals
+            self._gap_windows = windows
+            self._gap_folded = 0
+            self._gap_worst = 0
+        worst = self._gap_worst
+        n = len(arrivals)
+        i = max(self._gap_folded, 1)
+        if i < n:
+            a = arrivals[i - 1]
+            for b in arrivals[i:]:
+                if b - a > worst and not any(
+                    start < b and (end is None or end > a)
+                    for start, end in windows
+                ):
+                    worst = b - a
+                a = b
+            self._gap_worst = worst
+        self._gap_folded = n
         return worst
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.core.control import (
     FailoverRecord,
     ManagedSession,
     SessionControlPlane,
+    first_arrival_after,
     stream_gross_rate_bytes_per_sec,
 )
 from repro.experiments.testbed import HostConfig
@@ -218,6 +219,33 @@ def test_failover_window_stays_open_without_evidence():
                        detected_at_ns=400, gap_start_ns=200)
     )
     assert ms.failover_windows() == [(200, None)]
+
+
+def test_finish_stamps_the_same_window_end_the_monitor_saw():
+    bed = _bed()
+    plane = _plane(bed)
+    ms = ManagedSession(control_id=1, client="c1", priority=0,
+                        rate_bytes_per_sec=166_667, submitted_at_ns=0)
+    ms.session = _StubSession([100, 200, 400, 900, 912])
+    ms.failovers += [
+        FailoverRecord(control_id=1, from_server="server-a",
+                       detected_at_ns=400, gap_start_ns=400),
+        FailoverRecord(control_id=1, from_server="server-b",
+                       detected_at_ns=950, gap_start_ns=912),
+    ]
+    live = ms.failover_windows()
+    plane._close_failover_windows(ms)
+    # An arrival exactly at detection does not close the window.
+    assert [r.resumed_at_ns for r in ms.failovers] == [900, None]
+    assert ms.failover_windows() == live == [(400, 900), (912, None)]
+
+
+def test_first_arrival_after_is_strictly_after():
+    arrivals = [100, 200, 200, 900]
+    assert first_arrival_after(arrivals, 50) == 100
+    assert first_arrival_after(arrivals, 200) == 900
+    assert first_arrival_after(arrivals, 900) is None
+    assert first_arrival_after([], 0) is None
 
 
 def test_snapshot_counts_decisions():
