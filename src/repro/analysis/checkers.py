@@ -12,6 +12,7 @@ static analysis cannot.
 from __future__ import annotations
 
 import ast
+from operator import itemgetter
 from typing import Optional
 
 from repro.analysis.findings import Finding
@@ -36,6 +37,12 @@ _FLOAT_RETURNING_HELPERS = frozenset({"to_us", "to_ms", "to_sec", "float"})
 _INT_RETURNING_HELPERS = frozenset(
     {"int", "round", "len", "from_us", "from_ms", "from_sec"}
 )
+
+#: Nodes the traversal hands on to the layering check and the project
+#: graph: import statements, and the call/attribute nodes the ``os.*``
+#: taint-source scan reads.
+_IMPORT_NODES = (ast.Import, ast.ImportFrom)
+_COLLECTED_NODES = _IMPORT_NODES + (ast.Call, ast.Attribute)
 
 
 def def_anchor_line(node: ast.AST) -> int:
@@ -135,6 +142,39 @@ class DeterminismVisitor(ast.NodeVisitor):
         self._time_aliases: set[str] = set()
         self._datetime_module_aliases: set[str] = set()
         self._datetime_type_aliases: set[str] = set()
+        #: (depth, node) for every node of ``_COLLECTED_NODES``, in visit
+        #: order; :meth:`collected_nodes` turns it into ``ast.walk`` order.
+        self._collected: list[tuple[int, ast.AST]] = []
+        self._depth = 0
+
+    # ------------------------------------------------------------------
+    # traversal
+    # ------------------------------------------------------------------
+    def generic_visit(self, node: ast.AST) -> None:
+        """The stock child traversal, also recording the collected nodes."""
+        depth = self._depth = self._depth + 1
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _COLLECTED_NODES):
+                self._collected.append((depth, child))
+            self.visit(child)
+        self._depth = depth - 1
+
+    def collected_nodes(
+        self,
+    ) -> tuple[list[ast.Import | ast.ImportFrom], list[ast.Call | ast.Attribute]]:
+        """The import nodes and the call/attribute nodes, in ``ast.walk`` order.
+
+        ``ast.walk`` is breadth-first and this visitor depth-first, but
+        both take a node's children in the same order, so a stable sort of
+        the depth-first order by depth *is* the breadth-first order.  The
+        import maps and source lists the graph builds from these stay
+        exactly what separate ``ast.walk`` passes produced.
+        """
+        imports: list[ast.Import | ast.ImportFrom] = []
+        refs: list[ast.Call | ast.Attribute] = []
+        for _depth, node in sorted(self._collected, key=itemgetter(0)):
+            (imports if isinstance(node, _IMPORT_NODES) else refs).append(node)
+        return imports, refs
 
     # ------------------------------------------------------------------
     # helpers

@@ -47,7 +47,14 @@ _CONTROL_HOME_SUFFIX = "repro/core/control.py"
 
 
 def suppressed_rules_by_line(source: str) -> dict[int, set[str]]:
-    """Map line number -> rule IDs disabled by an inline comment there."""
+    """Map line number -> rule IDs disabled by an inline comment there.
+
+    Every comment is a substring of the source, so a source the pattern
+    does not match anywhere has no suppressions: only the few files that
+    mention the marker pay for tokenizing.
+    """
+    if _SUPPRESS_RE.search(source) is None:
+        return {}
     out: dict[int, set[str]] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -143,13 +150,22 @@ def is_control_home(path: str) -> bool:
     return path.replace("\\", "/").endswith(_CONTROL_HOME_SUFFIX)
 
 
-def raw_findings(tree: ast.AST, path: str) -> list[Finding]:
-    """Per-file findings for one parsed module, before suppressions.
+@dataclass
+class ModuleScan:
+    """What one traversal of a parsed module yields."""
 
-    The v2 engine needs the pre-suppression list (CTMS001 reports inline
-    disables that no longer suppress anything), so suppression filtering
-    is separated out here.
-    """
+    #: Per-file findings before suppressions.  The v2 engine needs the
+    #: pre-suppression list (CTMS001 reports inline disables that no
+    #: longer suppress anything), so suppression filtering is separate.
+    findings: list[Finding]
+    #: Every ``import``/``from ... import`` statement, in ``ast.walk`` order.
+    imports: list[ast.Import | ast.ImportFrom]
+    #: Every call and attribute node, in ``ast.walk`` order.
+    refs: list[ast.Call | ast.Attribute]
+
+
+def scan_module(tree: ast.AST, path: str) -> ModuleScan:
+    """Run the per-file rules over one parsed module in a single traversal."""
     visitor = DeterminismVisitor(
         path,
         rng_home=is_rng_home(path),
@@ -157,7 +173,12 @@ def raw_findings(tree: ast.AST, path: str) -> list[Finding]:
         control_home=is_control_home(path),
     )
     visitor.visit(tree)
-    return visitor.findings + check_layering(tree, path)
+    imports, refs = visitor.collected_nodes()
+    return ModuleScan(
+        findings=visitor.findings + check_layering(imports, path),
+        imports=imports,
+        refs=refs,
+    )
 
 
 def apply_suppressions(
@@ -170,7 +191,7 @@ def lint_source(source: str, path: str) -> list[Finding]:
     """All findings for one module's source text (suppressions applied)."""
     tree = ast.parse(source, filename=path)
     return apply_suppressions(
-        raw_findings(tree, path), suppressed_rules_by_line(source)
+        scan_module(tree, path).findings, suppressed_rules_by_line(source)
     )
 
 
@@ -197,9 +218,9 @@ def run_lint(
         report.files_scanned += 1
         display = _display_path(file)
         try:
-            source = file.read_text()
+            source = file.read_text(encoding="utf-8")
             findings.extend(lint_source(source, display))
-        except SyntaxError:
+        except (OSError, UnicodeDecodeError, SyntaxError):
             report.parse_errors.append(display)
     report.findings = findings
     report.baseline = apply_baseline(findings, baseline or {})

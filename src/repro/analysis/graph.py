@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.analysis import dataflow
 from repro.analysis.checkers import def_anchor_line
-from repro.analysis.engine import raw_findings, suppressed_rules_by_line
+from repro.analysis.engine import scan_module, suppressed_rules_by_line
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     GLOBAL_RANDOM_FUNCTIONS,
@@ -167,9 +167,12 @@ def summarize_module(source: str, path: str) -> ModuleSummary:
     tree = ast.parse(source, filename=path)
     dotted, is_package = module_name(path)
     summary = ModuleSummary(path=path, module=dotted, is_package=is_package)
-    summary.raw = raw_findings(tree, path)
+    # The one full traversal: per-file rules, plus the import and
+    # call/attribute nodes the import maps and source scan below read.
+    scan = scan_module(tree, path)
+    summary.raw = scan.findings
     summary.suppressions = suppressed_rules_by_line(source)
-    _collect_imports(tree, summary)
+    _collect_imports(scan.imports, summary)
 
     module_body: list[ast.stmt] = []
     for node in tree.body:
@@ -181,12 +184,14 @@ def summarize_module(source: str, path: str) -> ModuleSummary:
             module_body.append(node)
     _add_body(summary, "<module>", None, module_body, line=1, end_line=0)
 
-    _attach_sources(summary, tree)
+    _attach_sources(summary, scan.refs)
     return summary
 
 
-def _collect_imports(tree: ast.Module, summary: ModuleSummary) -> None:
-    for node in ast.walk(tree):
+def _collect_imports(
+    imports: list[ast.Import | ast.ImportFrom], summary: ModuleSummary
+) -> None:
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -198,7 +203,7 @@ def _collect_imports(tree: ast.Module, summary: ModuleSummary) -> None:
                         alias.name.split(".")[0], alias.name.split(".")[0]
                     )
                     summary.imports[alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom):
+        else:
             target = _absolute_import(summary, node)
             if target is None:
                 continue
@@ -280,8 +285,14 @@ def _add_body(
     )
 
 
-def _attach_sources(summary: ModuleSummary, tree: ast.Module) -> None:
-    """Seed taint sources from per-file findings plus the v2-only detectors."""
+def _attach_sources(
+    summary: ModuleSummary, refs: list[ast.Call | ast.Attribute]
+) -> None:
+    """Seed taint sources from per-file findings plus the v2-only detectors.
+
+    ``refs`` is every call and attribute node of the module, in
+    ``ast.walk`` order.
+    """
 
     def cleansed(line: int, kind: str) -> bool:
         disabled = summary.suppressions.get(line, set())
@@ -305,7 +316,7 @@ def _attach_sources(summary: ModuleSummary, tree: ast.Module) -> None:
 
     # 2) os.urandom / os.getenv / os.environ -- no per-file rule exists.
     os_aliases = {a for a, m in summary.imports.items() if m == "os"}
-    for node in ast.walk(tree):
+    for node in refs:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -384,6 +395,8 @@ class ProjectGraph:
     def __init__(self, modules: list[ModuleSummary]) -> None:
         self.modules: dict[str, ModuleSummary] = {m.path: m for m in modules}
         self.by_name: dict[str, ModuleSummary] = {m.module: m for m in modules}
+        #: dotted name -> its suffix match (None when absent or ambiguous).
+        self._by_suffix: dict[str, Optional[ModuleSummary]] = {}
         self.functions: dict[str, tuple[ModuleSummary, FunctionSummary]] = {}
         for m in modules:
             for qualname, fn in m.functions.items():
@@ -404,12 +417,16 @@ class ProjectGraph:
             return hit
         # Suffix match lets fixture trees without the repo's exact layout
         # (and `src.repro.x` spellings) still link -- but only when unique.
-        matches = [
-            m
-            for name, m in self.by_name.items()
-            if dotted.endswith(f".{name}") or name.endswith(f".{dotted}")
-        ]
-        return matches[0] if len(matches) == 1 else None
+        # Most misses are external modules (`os`, `ast`) asked about again
+        # and again, so each name's scan runs once per graph.
+        if dotted not in self._by_suffix:
+            matches = [
+                m
+                for name, m in self.by_name.items()
+                if dotted.endswith(f".{name}") or name.endswith(f".{dotted}")
+            ]
+            self._by_suffix[dotted] = matches[0] if len(matches) == 1 else None
+        return self._by_suffix[dotted]
 
     # ------------------------------------------------------------------
     def resolve(

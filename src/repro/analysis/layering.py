@@ -41,16 +41,18 @@ def package_of(path: str) -> Optional[str]:
     return None
 
 
-def _imported_repro_packages(tree: ast.AST) -> list[tuple[str, ast.stmt]]:
-    """Every repro sub-package imported anywhere in the module."""
+def _imported_repro_packages(
+    imports: list[ast.Import | ast.ImportFrom],
+) -> list[tuple[str, ast.stmt]]:
+    """Every repro sub-package the given import statements name."""
     found: list[tuple[str, ast.stmt]] = []
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == "repro" and len(parts) > 1:
                     found.append((parts[1], node))
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        elif node.level == 0 and node.module:
             parts = node.module.split(".")
             if parts[0] == "repro":
                 if len(parts) > 1:
@@ -87,15 +89,18 @@ def _observe_only_scope(
     ), label
 
 
-def check_layering(tree: ast.AST, path: str) -> list[Finding]:
-    """CTMS301/302 findings for one parsed module."""
+def check_layering(
+    imports: list[ast.Import | ast.ImportFrom], path: str
+) -> list[Finding]:
+    """CTMS301/302 findings for one module's import statements (every
+    ``import``/``from ... import`` in the module, in ``ast.walk`` order)."""
     package = package_of(path)
     if package is None or package == "":
         return []
     findings: list[Finding] = []
     forbidden = LAYERING_FORBIDDEN.get(package, frozenset())
     observe_only, observe_label = _observe_only_scope(package, path)
-    for target, node in _imported_repro_packages(tree):
+    for target, node in _imported_repro_packages(imports):
         if target == package:
             continue
         if observe_only is not None:

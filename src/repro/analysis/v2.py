@@ -113,8 +113,8 @@ def run_lint_v2(
         display = _display_path(file)
         live_paths.add(display)
         try:
-            source = file.read_text()
-        except OSError:
+            source = file.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
             report.parse_errors.append(display)
             continue
         sha = content_hash(source)

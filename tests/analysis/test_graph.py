@@ -185,3 +185,23 @@ def test_importers_of():
     )
     leaf = g.modules["repro/core/leaf.py"]
     assert {m.path for m in g.importers_of(leaf)} == {"repro/core/user.py"}
+
+
+def test_resolve_module_suffix_match_unique_ambiguous_and_memoized():
+    g = build(
+        ("repro/core/leaf.py", "def f(): ...\n"),
+        ("repro/net/ring.py", "def g(): ...\n"),
+        ("repro/hw/ring.py", "def h(): ...\n"),
+    )
+    leaf = g.modules["repro/core/leaf.py"]
+    queries = ["src.repro.core.leaf", "core.leaf", "ring", "os", "repro.core.leaf"]
+    first = [g.resolve_module(q) for q in queries]
+    # A unique suffix match links, in either direction.
+    assert first[0] is leaf and first[1] is leaf
+    # Two modules end in `.ring`: ambiguous, so unresolved.
+    assert first[2] is None
+    # External modules never match.
+    assert first[3] is None
+    assert first[4] is leaf
+    for _ in range(2):
+        assert [g.resolve_module(q) for q in queries] == first

@@ -1,0 +1,87 @@
+"""Unreadable sources: reported as parse errors by both engines, never a crash.
+
+A file that is not valid UTF-8 used to escape both engines as a
+``UnicodeDecodeError``; a file with a NUL byte fails inside the parser;
+a directory named like a module cannot be read at all (v1 used to crash
+on it too).  Every time the file lands in ``parse_errors`` and the gate fails (exit 1)
+while every other file is still linted.
+"""
+
+import pytest
+
+from repro.analysis import run_lint, run_lint_v2
+from repro.cli import main
+
+UNDECODABLE = b'x = "\xff"\n'
+NUL_BYTE = b"x = 1\x00\n"
+
+
+def tree_with(tmp_path, bad: bytes):
+    pkg = tmp_path / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / "good.py").write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
+    (pkg / "bad.py").write_bytes(bad)
+    return tmp_path / "repro"
+
+
+def error_names(report) -> list[str]:
+    return [path.rsplit("/", 1)[-1] for path in report.parse_errors]
+
+
+@pytest.mark.parametrize("bad", [UNDECODABLE, NUL_BYTE], ids=["non-utf8", "nul"])
+def test_v1_reports_unreadable_file(tmp_path, bad):
+    report = run_lint([tree_with(tmp_path, bad)])
+    assert error_names(report) == ["bad.py"]
+    assert report.files_scanned == 4
+    # The rest of the tree is still linted.
+    assert [f.rule for f in report.findings] == ["CTMS103"]
+    assert not report.ok()
+
+
+@pytest.mark.parametrize("bad", [UNDECODABLE, NUL_BYTE], ids=["non-utf8", "nul"])
+def test_v2_without_cache_reports_unreadable_file(tmp_path, bad):
+    report = run_lint_v2([tree_with(tmp_path, bad)], cache_path=None)
+    assert error_names(report) == ["bad.py"]
+    assert [f.rule for f in report.findings] == ["CTMS103"]
+    assert not report.ok()
+
+
+@pytest.mark.parametrize("bad", [UNDECODABLE, NUL_BYTE], ids=["non-utf8", "nul"])
+def test_v2_with_cache_reports_unreadable_file(tmp_path, bad):
+    root = tree_with(tmp_path, bad)
+    cache = tmp_path / "cache.json"
+    cold = run_lint_v2([root], cache_path=cache)
+    warm = run_lint_v2([root], cache_path=cache)
+    for report in (cold, warm):
+        assert error_names(report) == ["bad.py"]
+        assert [f.rule for f in report.findings] == ["CTMS103"]
+        assert not report.ok()
+    # The unreadable file is never cached; the three good ones are.
+    assert warm.cache_hits == 3 and warm.reparsed == []
+
+
+def test_v2_file_turning_unreadable_is_not_served_from_cache(tmp_path):
+    root = tree_with(tmp_path, b"x = 1\n")
+    cache = tmp_path / "cache.json"
+    assert run_lint_v2([root], cache_path=cache).parse_errors == []
+    (root / "core" / "bad.py").write_bytes(UNDECODABLE)
+    report = run_lint_v2([root], cache_path=cache)
+    assert error_names(report) == ["bad.py"]
+
+
+def test_both_engines_report_a_directory_named_like_a_module(tmp_path):
+    """``rglob("*.py")`` also yields directories; reading one is an OSError."""
+    root = tree_with(tmp_path, b"x = 1\n")
+    (root / "core" / "pkg.py").mkdir()
+    for report in (run_lint([root]), run_lint_v2([root], cache_path=None)):
+        assert error_names(report) == ["pkg.py"]
+        assert not report.ok()
+
+
+@pytest.mark.parametrize("depth", [[], ["--v2", "--no-cache"]], ids=["v1", "v2"])
+def test_cli_exits_1_on_undecodable_file(tmp_path, capsys, depth):
+    root = tree_with(tmp_path, UNDECODABLE)
+    assert main(["lint", str(root), *depth]) == 1
+    assert "bad.py: syntax error (unparseable file)" in capsys.readouterr().out
