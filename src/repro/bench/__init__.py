@@ -13,20 +13,13 @@ All wall-clock reads live in :mod:`repro.bench.harness`, which joins
 between the simulated clock domain and the host's.
 """
 
-from repro.bench.harness import (
-    WORKLOADS,
-    check_bench,
-    compare_bench,
-    load_bench,
-    run_bench,
-    write_bench,
-)
+from repro import _lazy_facade
 
-__all__ = [
-    "WORKLOADS",
-    "check_bench",
-    "compare_bench",
-    "load_bench",
-    "run_bench",
-    "write_bench",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "WORKLOADS": "harness",
+    "check_bench": "harness",
+    "compare_bench": "harness",
+    "load_bench": "harness",
+    "run_bench": "harness",
+    "write_bench": "harness",
+})

@@ -230,7 +230,7 @@ def _run_fleet_cli(spec, args) -> int:
     stay byte-identical (the golden fleet test relies on this).
     """
     from repro.experiments.fleet import FleetInterrupted, run_fleet
-    from repro.obs import fleet_summary
+    from repro.obs.fleetstats import fleet_summary
 
     resume_cmd = _resume_command(args)
     try:
@@ -303,7 +303,7 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import (
+    from repro.bench.harness import (
         check_bench,
         compare_bench,
         load_bench,
@@ -411,13 +411,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import (
-        load_baseline,
-        render_sarif,
-        run_lint,
-        run_lint_v2,
-        write_baseline,
-    )
+    from repro.analysis.baseline import load_baseline, write_baseline
 
     try:
         baseline = load_baseline(args.baseline) if args.baseline else {}
@@ -426,6 +420,8 @@ def _cmd_lint(args) -> int:
               file=sys.stderr)
         return 2
     if args.v2 or args.changed:
+        from repro.analysis.v2 import run_lint_v2
+
         report = run_lint_v2(
             args.paths,
             baseline,
@@ -433,6 +429,8 @@ def _cmd_lint(args) -> int:
             changed_only=args.changed,
         )
     else:
+        from repro.analysis.engine import run_lint
+
         report = run_lint(args.paths, baseline)
     if args.write_baseline:
         write_baseline(report.findings, args.write_baseline)
@@ -443,6 +441,8 @@ def _cmd_lint(args) -> int:
         return 0
     if args.sarif:
         from pathlib import Path
+
+        from repro.analysis.sarif import render_sarif
 
         Path(args.sarif).write_text(render_sarif(report))
         print(f"ctms-lint: wrote SARIF to {args.sarif}", file=sys.stderr)

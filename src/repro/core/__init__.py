@@ -23,37 +23,21 @@ downstream user touches to move continuous-time media across the ring:
   failover (the sanctioned home of all control-plane policy decisions).
 """
 
-from repro.core.buffering import PlayoutBuffer, required_buffer_bytes
-from repro.core.control import (
-    BandwidthLedger,
-    ControlPlaneConfig,
-    FailoverRecord,
-    ManagedSession,
-    SessionControlPlane,
-)
-from repro.core.ctmsp import (
-    CTMSP_HEADER_BYTES,
-    CTMSP_RING_PRIORITY,
-    CTMSPPacket,
-)
-from repro.core.presentation import PresentationMachine
-from repro.core.recovery import SequenceTracker
-from repro.core.session import CTMSSession
-from repro.core.stream import StreamStats
+from repro import _lazy_facade
 
-__all__ = [
-    "BandwidthLedger",
-    "CTMSP_HEADER_BYTES",
-    "CTMSP_RING_PRIORITY",
-    "CTMSPPacket",
-    "CTMSSession",
-    "ControlPlaneConfig",
-    "FailoverRecord",
-    "ManagedSession",
-    "PlayoutBuffer",
-    "PresentationMachine",
-    "SequenceTracker",
-    "SessionControlPlane",
-    "StreamStats",
-    "required_buffer_bytes",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "BandwidthLedger": "control",
+    "CTMSPPacket": "ctmsp",
+    "CTMSP_HEADER_BYTES": "ctmsp",
+    "CTMSP_RING_PRIORITY": "ctmsp",
+    "CTMSSession": "session",
+    "ControlPlaneConfig": "control",
+    "FailoverRecord": "control",
+    "ManagedSession": "control",
+    "PlayoutBuffer": "buffering",
+    "PresentationMachine": "presentation",
+    "SequenceTracker": "recovery",
+    "SessionControlPlane": "control",
+    "StreamStats": "stream",
+    "required_buffer_bytes": "buffering",
+})

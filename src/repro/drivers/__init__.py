@@ -12,12 +12,11 @@
   first used for in-kernel timestamping (Section 5.2.1).
 """
 
-from repro.drivers.token_ring import TokenRingDriver, TokenRingDriverConfig
-from repro.drivers.vca import VCADriver, VCADriverConfig
+from repro import _lazy_facade
 
-__all__ = [
-    "TokenRingDriver",
-    "TokenRingDriverConfig",
-    "VCADriver",
-    "VCADriverConfig",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "TokenRingDriver": "token_ring",
+    "TokenRingDriverConfig": "token_ring",
+    "VCADriver": "vca",
+    "VCADriverConfig": "vca",
+})

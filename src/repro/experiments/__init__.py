@@ -12,13 +12,12 @@
 * :mod:`~repro.experiments.reporting` -- paper-style text tables.
 """
 
-from repro.experiments.scenarios import Scenario, test_case_a, test_case_b
-from repro.experiments.testbed import Host, Testbed
+from repro import _lazy_facade
 
-__all__ = [
-    "Host",
-    "Scenario",
-    "Testbed",
-    "test_case_a",
-    "test_case_b",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "Host": "testbed",
+    "Scenario": "scenarios",
+    "Testbed": "testbed",
+    "test_case_a": "scenarios",
+    "test_case_b": "scenarios",
+})

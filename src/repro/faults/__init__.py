@@ -23,27 +23,17 @@ sweep seeded random plans across transport configurations and report which
 invariants held at which fault intensity.
 """
 
-from repro.faults.injectors import FaultInjector
-from repro.faults.invariants import StreamInvariantMonitor, Violation
-from repro.faults.plan import (
-    ADAPTER_KINDS,
-    FAULT_KINDS,
-    HOST_KINDS,
-    RING_KINDS,
-    SERVER_KINDS,
-    FaultEvent,
-    FaultPlan,
-)
+from repro import _lazy_facade
 
-__all__ = [
-    "ADAPTER_KINDS",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "HOST_KINDS",
-    "RING_KINDS",
-    "SERVER_KINDS",
-    "StreamInvariantMonitor",
-    "Violation",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "ADAPTER_KINDS": "plan",
+    "FAULT_KINDS": "plan",
+    "FaultEvent": "plan",
+    "FaultInjector": "injectors",
+    "FaultPlan": "plan",
+    "HOST_KINDS": "plan",
+    "RING_KINDS": "plan",
+    "SERVER_KINDS": "plan",
+    "StreamInvariantMonitor": "invariants",
+    "Violation": "invariants",
+})

@@ -18,27 +18,21 @@ operating system:
   paper added to each measured machine to feed the PC/AT timestamper.
 """
 
-from repro.hardware import calibration
-from repro.hardware.cpu import CPU, Exec, Frame, RaiseSpl, SetSpl, Wait
-from repro.hardware.dma import DMAEngine
-from repro.hardware.machine import Machine
-from repro.hardware.memory import MemoryRegion, MemorySystem, Region
-from repro.hardware.parallel_port import ParallelPort
-from repro.hardware.vca import VoiceCommunicationsAdapter
+from repro import _lazy_facade
 
-__all__ = [
-    "CPU",
-    "DMAEngine",
-    "Exec",
-    "Frame",
-    "Machine",
-    "MemoryRegion",
-    "MemorySystem",
-    "ParallelPort",
-    "RaiseSpl",
-    "Region",
-    "SetSpl",
-    "VoiceCommunicationsAdapter",
-    "Wait",
-    "calibration",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "CPU": "cpu",
+    "DMAEngine": "dma",
+    "Exec": "cpu",
+    "Frame": "cpu",
+    "Machine": "machine",
+    "MemoryRegion": "memory",
+    "MemorySystem": "memory",
+    "ParallelPort": "parallel_port",
+    "RaiseSpl": "cpu",
+    "Region": "memory",
+    "SetSpl": "cpu",
+    "VoiceCommunicationsAdapter": "vca",
+    "Wait": "cpu",
+    "calibration": "calibration",
+})

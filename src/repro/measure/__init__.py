@@ -20,17 +20,13 @@ measurement noise:
   PC/AT tool).
 """
 
-from repro.measure.histogram import Histogram
-from repro.measure.logic_analyzer import LogicAnalyzer
-from repro.measure.pcat import PcatRecord, PcatTimestamper
-from repro.measure.pseudo_driver import PseudoDriverTracer
-from repro.measure.tap import TapMonitor
+from repro import _lazy_facade
 
-__all__ = [
-    "Histogram",
-    "LogicAnalyzer",
-    "PcatRecord",
-    "PcatTimestamper",
-    "PseudoDriverTracer",
-    "TapMonitor",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "Histogram": "histogram",
+    "LogicAnalyzer": "logic_analyzer",
+    "PcatRecord": "pcat",
+    "PcatTimestamper": "pcat",
+    "PseudoDriverTracer": "pseudo_driver",
+    "TapMonitor": "tap",
+})

@@ -9,75 +9,40 @@ monitors, delivery handles), so a traced run replays the exact event
 calendar of an untraced one.
 """
 
-from repro.obs.controlstats import (
-    CATEGORY_CONTROL,
-    CONTROL_COUNTERS,
-    ControlPlaneMetrics,
-)
-from repro.obs.export import chrome_trace, render_chrome_json, write_chrome_trace
-from repro.obs.fleetstats import FLEET_COUNTERS, fleet_counts, fleet_summary
-from repro.obs.flight import FlightRecorder, FlightSnapshot
-from repro.obs.instrument import DataPathTracer
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    HistogramInstrument,
-    MetricsRegistry,
-)
-from repro.obs.span import (
-    CATEGORIES,
-    CATEGORY_ADAPTER,
-    CATEGORY_DISK,
-    CATEGORY_KERNEL_COPY,
-    CATEGORY_PLAYOUT,
-    CATEGORY_PROTOCOL,
-    CATEGORY_RING,
-    InstantEvent,
-    PointEvent,
-    Span,
-    SpanRecorder,
-    TraceContext,
-    packet_key,
-)
-from repro.obs.telemetry import (
-    CampaignProgress,
-    WorkerSpotlight,
-    is_telemetry,
-    progress,
-)
+from repro import _lazy_facade
 
-__all__ = [
-    "CATEGORIES",
-    "CATEGORY_ADAPTER",
-    "CATEGORY_CONTROL",
-    "CATEGORY_DISK",
-    "CATEGORY_KERNEL_COPY",
-    "CATEGORY_PLAYOUT",
-    "CATEGORY_PROTOCOL",
-    "CATEGORY_RING",
-    "CONTROL_COUNTERS",
-    "CampaignProgress",
-    "ControlPlaneMetrics",
-    "Counter",
-    "DataPathTracer",
-    "FLEET_COUNTERS",
-    "FlightRecorder",
-    "FlightSnapshot",
-    "Gauge",
-    "HistogramInstrument",
-    "InstantEvent",
-    "MetricsRegistry",
-    "PointEvent",
-    "Span",
-    "SpanRecorder",
-    "TraceContext",
-    "WorkerSpotlight",
-    "chrome_trace",
-    "fleet_counts",
-    "fleet_summary",
-    "is_telemetry",
-    "packet_key",
-    "progress",
-    "render_chrome_json",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "CATEGORIES": "span",
+    "CATEGORY_ADAPTER": "span",
+    "CATEGORY_CONTROL": "controlstats",
+    "CATEGORY_DISK": "span",
+    "CATEGORY_KERNEL_COPY": "span",
+    "CATEGORY_PLAYOUT": "span",
+    "CATEGORY_PROTOCOL": "span",
+    "CATEGORY_RING": "span",
+    "CONTROL_COUNTERS": "controlstats",
+    "CampaignProgress": "telemetry",
+    "ControlPlaneMetrics": "controlstats",
+    "Counter": "metrics",
+    "DataPathTracer": "instrument",
+    "FLEET_COUNTERS": "fleetstats",
+    "FlightRecorder": "flight",
+    "FlightSnapshot": "flight",
+    "Gauge": "metrics",
+    "HistogramInstrument": "metrics",
+    "InstantEvent": "span",
+    "MetricsRegistry": "metrics",
+    "PointEvent": "span",
+    "Span": "span",
+    "SpanRecorder": "span",
+    "TraceContext": "span",
+    "WorkerSpotlight": "telemetry",
+    "chrome_trace": "export",
+    "fleet_counts": "fleetstats",
+    "fleet_summary": "fleetstats",
+    "is_telemetry": "telemetry",
+    "packet_key": "span",
+    "progress": "telemetry",
+    "render_chrome_json": "export",
+    "write_chrome_trace": "export",
+})

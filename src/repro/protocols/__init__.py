@@ -17,6 +17,9 @@ argument rather than assert it, this package implements the stock stack:
   the Token Ring driver's LLC input, plus a small socket API.
 """
 
-from repro.protocols.stack import NetStack, Socket
+from repro import _lazy_facade
 
-__all__ = ["NetStack", "Socket"]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "NetStack": "stack",
+    "Socket": "stack",
+})

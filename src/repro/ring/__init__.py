@@ -12,25 +12,16 @@ deliveries and purges.  This keeps a 70-station ring cheap to simulate while
 preserving access-delay and priority semantics.
 """
 
-from repro.ring.frames import (
-    BROADCAST,
-    Frame,
-    FrameClass,
-    mac_frame,
-    wire_time_ns,
-)
-from repro.ring.monitor import ActiveMonitor, InsertionProcess
-from repro.ring.network import TokenRing
-from repro.ring.station import RingStation
+from repro import _lazy_facade
 
-__all__ = [
-    "ActiveMonitor",
-    "BROADCAST",
-    "Frame",
-    "FrameClass",
-    "InsertionProcess",
-    "RingStation",
-    "TokenRing",
-    "mac_frame",
-    "wire_time_ns",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "ActiveMonitor": "monitor",
+    "BROADCAST": "frames",
+    "Frame": "frames",
+    "FrameClass": "frames",
+    "InsertionProcess": "monitor",
+    "RingStation": "station",
+    "TokenRing": "network",
+    "mac_frame": "frames",
+    "wire_time_ns": "frames",
+})

@@ -11,49 +11,42 @@ whole testbed replays the same microsecond-level schedule, which is what makes
 the paper's histogram reproductions testable.
 """
 
-from repro.sim.engine import (
-    Event,
-    Handle,
-    Process,
-    ProcessKilled,
-    SimulationError,
-    Simulator,
-)
-from repro.sim.rng import RandomStreams, seeded_stream
-from repro.sim.sanitizer import (
-    Divergence,
-    OrderRaceError,
-    check_tiebreak_invariance,
-)
-from repro.sim.units import (
-    MS,
-    NS,
-    SEC,
-    US,
-    format_time,
-    from_us,
-    to_ms,
-    to_us,
-)
+from importlib import import_module
 
-__all__ = [
-    "Divergence",
-    "Event",
-    "Handle",
-    "MS",
-    "NS",
-    "OrderRaceError",
-    "Process",
-    "ProcessKilled",
-    "RandomStreams",
-    "SEC",
-    "SimulationError",
-    "Simulator",
-    "US",
-    "check_tiebreak_invariance",
-    "format_time",
-    "from_us",
-    "seeded_stream",
-    "to_ms",
-    "to_us",
-]
+# The kernel imports nothing from the rest of repro (CTMS301), so this
+# façade carries its own copy of ``repro._lazy_facade``'s lookup.
+_EXPORTS = {
+    "Divergence": "sanitizer",
+    "Event": "engine",
+    "Handle": "engine",
+    "MS": "units",
+    "NS": "units",
+    "OrderRaceError": "sanitizer",
+    "Process": "engine",
+    "ProcessKilled": "engine",
+    "RandomStreams": "rng",
+    "SEC": "units",
+    "SimulationError": "engine",
+    "Simulator": "engine",
+    "US": "units",
+    "check_tiebreak_invariance": "sanitizer",
+    "format_time": "units",
+    "from_us": "units",
+    "seeded_stream": "rng",
+    "to_ms": "units",
+    "to_us": "units",
+}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        source = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f"{__name__}.{source}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _EXPORTS.keys())

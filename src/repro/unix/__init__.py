@@ -20,16 +20,14 @@ latency.  The model provides:
   traffic the paper blames for Figure 5-2's second mode.
 """
 
-from repro.unix.copy import CopyLedger, cpu_copy
-from repro.unix.kernel import Kernel
-from repro.unix.mbuf import Mbuf, MbufChain, MbufExhausted, MbufPool
+from repro import _lazy_facade
 
-__all__ = [
-    "CopyLedger",
-    "Kernel",
-    "Mbuf",
-    "MbufChain",
-    "MbufExhausted",
-    "MbufPool",
-    "cpu_copy",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "CopyLedger": "copy",
+    "Kernel": "kernel",
+    "Mbuf": "mbuf",
+    "MbufChain": "mbuf",
+    "MbufExhausted": "mbuf",
+    "MbufPool": "mbuf",
+    "cpu_copy": "copy",
+})

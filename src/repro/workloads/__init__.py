@@ -14,29 +14,17 @@ session-level demand -- seeded arrival/departure schedules the control
 plane (:mod:`repro.core.control`) admits, queues, or rejects.
 """
 
-from repro.workloads.background import BackgroundTraffic, LightweightSender
-from repro.workloads.churn import (
-    HOLD_FOREVER,
-    ChurnDriver,
-    ChurnSchedule,
-    SessionRequest,
-)
-from repro.workloads.media import (
-    CD_AUDIO,
-    COMPRESSED_VIDEO,
-    TELEPHONE_AUDIO,
-    MediaSource,
-)
+from repro import _lazy_facade
 
-__all__ = [
-    "BackgroundTraffic",
-    "CD_AUDIO",
-    "COMPRESSED_VIDEO",
-    "ChurnDriver",
-    "ChurnSchedule",
-    "HOLD_FOREVER",
-    "LightweightSender",
-    "MediaSource",
-    "SessionRequest",
-    "TELEPHONE_AUDIO",
-]
+__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
+    "BackgroundTraffic": "background",
+    "CD_AUDIO": "media",
+    "COMPRESSED_VIDEO": "media",
+    "ChurnDriver": "churn",
+    "ChurnSchedule": "churn",
+    "HOLD_FOREVER": "churn",
+    "LightweightSender": "background",
+    "MediaSource": "media",
+    "SessionRequest": "churn",
+    "TELEPHONE_AUDIO": "media",
+})

@@ -7,6 +7,12 @@ on it too).  Every time the file lands in ``parse_errors`` and the gate fails (e
 while every other file is still linted.
 """
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import run_lint, run_lint_v2
@@ -85,3 +91,23 @@ def test_cli_exits_1_on_undecodable_file(tmp_path, capsys, depth):
     root = tree_with(tmp_path, UNDECODABLE)
     assert main(["lint", str(root), *depth]) == 1
     assert "bad.py: syntax error (unparseable file)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", [[], ["--v2", "--no-cache"]], ids=["v1", "v2"])
+def test_cli_lints_a_tree_whose_simulator_does_not_parse(tmp_path, depth):
+    """ctms-lint runs from the tree it lints, and loads none of the
+    simulator, so a broken simulator module is a finding, not a crash."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    copy = tmp_path / "src"
+    shutil.copytree(src / "repro", copy / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "repro" / "core" / "control.py").write_text("def broken(:\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "lint", str(copy / "repro"), *depth],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(copy)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "core/control.py: syntax error (unparseable file)" in done.stdout
+    assert "Traceback" not in done.stderr

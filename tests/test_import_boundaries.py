@@ -1,0 +1,88 @@
+"""Import boundaries, checked in a fresh interpreter.
+
+The package façades are lazy, so importing a module runs only the modules
+it really needs.  Every process compiles what it imports (the bytecode
+cache may be off), so set-up time is the import graph; these tests keep
+it from growing back:
+
+* ctms-lint (``repro.analysis``) loads nothing of the simulator, so it
+  can lint a tree whose simulator modules do not even parse;
+* the event kernel (``repro.sim``) loads nothing above itself;
+* no simulator module loads the lint engine.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SIMULATOR_PACKAGES = (
+    "sim", "hardware", "ring", "unix", "drivers", "core", "experiments", "faults",
+)
+
+
+def loaded_after(*modules: str) -> dict[str, list[str]]:
+    """Module name -> the ``repro`` modules loaded once it is imported,
+    importing ``modules`` in turn in one fresh interpreter."""
+    script = (
+        "import importlib, json, sys\n"
+        "loaded = {}\n"
+        f"for name in {list(modules)!r}:\n"
+        "    importlib.import_module(name)\n"
+        "    loaded[name] = sorted(m for m in sys.modules if m.split('.')[0] == 'repro')\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def outside(loaded: list[str], *allowed: str) -> list[str]:
+    return [
+        m for m in loaded
+        if m != "repro" and not any(m == a or m.startswith(a + ".") for a in allowed)
+    ]
+
+
+def test_lint_engine_loads_only_itself():
+    loaded = loaded_after("repro.analysis.v2")["repro.analysis.v2"]
+    assert outside(loaded, "repro.analysis") == []
+
+
+def test_event_kernel_loads_only_itself():
+    loaded = loaded_after("repro.sim.engine")["repro.sim.engine"]
+    assert outside(loaded, "repro.sim") == []
+
+
+def simulator_modules() -> list[str]:
+    return sorted(
+        ".".join(path.with_suffix("").relative_to(SRC).parts)
+        for package in SIMULATOR_PACKAGES
+        for path in (SRC / "repro" / package).glob("*.py")
+        if path.name != "__init__.py"
+    )
+
+
+def test_no_simulator_module_loads_the_lint_engine():
+    modules = simulator_modules()
+    assert len(modules) > 40
+    for name, loaded in loaded_after(*modules).items():
+        assert not [m for m in loaded if m.startswith("repro.analysis")], name
+
+
+FACADES = sorted(
+    ".".join(init.parent.relative_to(SRC).parts) for init in SRC.glob("repro/**/__init__.py")
+)
+
+
+@pytest.mark.parametrize("package", FACADES)
+def test_importing_a_facade_loads_no_other_module(package):
+    loaded = loaded_after(package)[package]
+    assert loaded == sorted({"repro", package})
