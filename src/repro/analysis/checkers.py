@@ -44,6 +44,16 @@ _INT_RETURNING_HELPERS = frozenset(
 _IMPORT_NODES = (ast.Import, ast.ImportFrom)
 _COLLECTED_NODES = _IMPORT_NODES + (ast.Call, ast.Attribute)
 
+#: Node classes no rule is visited at and no collector gathers: names,
+#: literals and the expression contexts, 62% of the nodes of
+#: ``src/repro``.  Rules read them through their parents
+#: (``func.value.id``).  Their only children (a ``Name``'s context) are
+#: leaves too, so neither the traversal below nor the dataflow pass's
+#: call-site scan ever enters one.  A rule that must be visited at one of
+#: these classes adds its ``visit_`` method and takes the class out of
+#: this set; ``tests/analysis/test_single_pass.py`` holds the two together.
+LEAF_NODES = frozenset({ast.Name, ast.Constant, ast.Load, ast.Store, ast.Del})
+
 
 def def_anchor_line(node: ast.AST) -> int:
     """The ``def``/``class`` keyword's line, never a decorator's.
@@ -151,12 +161,20 @@ class DeterminismVisitor(ast.NodeVisitor):
     # traversal
     # ------------------------------------------------------------------
     def generic_visit(self, node: ast.AST) -> None:
-        """The stock child traversal, also recording the collected nodes."""
+        """Visit every child but the leaves, recording the collected nodes.
+
+        The stock child iteration, inlined over ``node._fields``: the same
+        children in the same order, less those in :data:`LEAF_NODES`.
+        """
         depth = self._depth = self._depth + 1
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _COLLECTED_NODES):
-                self._collected.append((depth, child))
-            self.visit(child)
+        for field in node._fields:
+            value = getattr(node, field, None)
+            for child in value if isinstance(value, list) else (value,):
+                if type(child) in LEAF_NODES or not isinstance(child, ast.AST):
+                    continue
+                if isinstance(child, _COLLECTED_NODES):
+                    self._collected.append((depth, child))
+                self.visit(child)
         self._depth = depth - 1
 
     def collected_nodes(

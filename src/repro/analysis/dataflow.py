@@ -26,10 +26,11 @@ aim is zero false positives on idiomatic code, not completeness.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.checkers import _is_floaty, call_anchor
+from repro.analysis.checkers import LEAF_NODES, _is_floaty, call_anchor
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
     DATA_DIMENSIONS,
@@ -69,8 +70,13 @@ _CONVERSION_PREFIXES = ("from_", "to_", "as_", "is_", "per_")
 _SCHEDULING_METHODS = frozenset({"schedule", "at", "timeout"})
 
 
+@functools.cache
 def dim_of_name(name: str) -> Optional[str]:
-    """The dimension a naming convention assigns, or None."""
+    """The dimension a naming convention assigns, or None.
+
+    Memoized: a pure function of the string, asked again for every
+    occurrence of the same name.
+    """
     if not name or name.startswith(_CONVERSION_PREFIXES):
         return None
     if name in WORD_DIMENSIONS:
@@ -366,9 +372,21 @@ class FunctionAnalyzer:
     # call sites
     # ------------------------------------------------------------------
     def _record_calls(self, node: ast.AST) -> None:
-        for sub in ast.walk(node):
+        """Record every call under ``node``, breadth-first.
+
+        The stdlib walk's order, less the leaf nodes
+        (:data:`~repro.analysis.checkers.LEAF_NODES`), which it never
+        enters: no call sits under one, so the calls come out the same.
+        """
+        todo = [node]
+        for sub in todo:  # grows as it is read: a breadth-first queue
             if isinstance(sub, ast.Call):
                 self._record_call(sub)
+            for field in sub._fields:
+                value = getattr(sub, field, None)
+                for child in value if isinstance(value, list) else (value,):
+                    if type(child) not in LEAF_NODES and isinstance(child, ast.AST):
+                        todo.append(child)
 
     def _record_call(self, call: ast.Call) -> None:
         ref = symbolic_ref(call.func)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import time
@@ -664,6 +663,10 @@ class _WorkerHandle:
 
 
 def _mp_context():
+    # Imported here, its one user: a serial (jobs=1) campaign never loads
+    # multiprocessing and what it pulls in (pickle, socket, ...).
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"

@@ -1,14 +1,16 @@
 """One traversal per module: the v2 summarizer against the walks it replaced.
 
 ``summarize_module`` collects every import and every call/attribute node
-during the same traversal that runs the per-file rules, and tokenizes a
-source only when it mentions the suppression marker.  The reference
-below summarizes the way the engine used to: the per-file rules on the
-stock ``ast.NodeVisitor`` traversal, three separate ``ast.walk`` passes
-(the import maps, the CTMS301/302 import scan, the ``os.*`` source scan)
-each feeding the node kinds it reads, and an unconditional tokenize.
-Summaries must match it exactly, key order included -- that is what lets
-``cache.ANALYSIS_VERSION`` stay where it is.
+during the same traversal that runs the per-file rules, steps over the
+leaf nodes no rule reads (``checkers.LEAF_NODES``) both there and in the
+dataflow pass's call-site scan, and tokenizes a source only when it
+mentions the suppression marker.  The reference below summarizes the way
+the engine used to: the per-file rules on the stock ``ast.NodeVisitor``
+traversal, call sites found by ``ast.walk``, three separate ``ast.walk``
+passes (the import maps, the CTMS301/302 import scan, the ``os.*``
+source scan) each feeding the node kinds it reads, and an unconditional
+tokenize.  Summaries must match it exactly, key order included -- that
+is what lets ``cache.ANALYSIS_VERSION`` stay where it is.
 """
 
 import ast
@@ -17,13 +19,14 @@ import json
 import textwrap
 import tokenize
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import engine, graph, run_lint_v2
-from repro.analysis.checkers import DeterminismVisitor
+from repro.analysis import dataflow, engine, graph, run_lint_v2
+from repro.analysis.checkers import _COLLECTED_NODES, LEAF_NODES, DeterminismVisitor
 from repro.analysis.engine import (
     _SUPPRESS_RE,
     is_control_home,
@@ -37,12 +40,23 @@ from repro.analysis.layering import check_layering
 ROOT = Path(__file__).resolve().parents[2]
 IMPORTS = (ast.Import, ast.ImportFrom)
 REFS = (ast.Call, ast.Attribute)
+TREES = ["src", "tests", "benchmarks", "perfbench"]
 
 
 class StockTraversal(DeterminismVisitor):
-    """The per-file rules on ``ast.NodeVisitor``'s own traversal."""
+    """The per-file rules on ``ast.NodeVisitor``'s own traversal, which
+    enters every node, leaves included."""
 
     generic_visit = ast.NodeVisitor.generic_visit
+
+
+class StockCallScan(dataflow.FunctionAnalyzer):
+    """The dataflow pass with its call sites found by ``ast.walk``."""
+
+    def _record_calls(self, node: ast.AST) -> None:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                self._record_call(sub)
 
 
 def reference_suppressions(source: str) -> dict[int, set[str]]:
@@ -80,14 +94,15 @@ def reference_summary(source: str, path: str) -> ModuleSummary:
     summary.suppressions = reference_suppressions(source)
     graph._collect_imports(walk_of(tree, IMPORTS), summary)
     module_body = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            graph._add_function(summary, node, prefix="")
-        elif isinstance(node, ast.ClassDef):
-            graph._add_class(summary, node)
-        else:
-            module_body.append(node)
-    graph._add_body(summary, "<module>", None, module_body, line=1, end_line=0)
+    with mock.patch.object(dataflow, "FunctionAnalyzer", StockCallScan):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                graph._add_function(summary, node, prefix="")
+            elif isinstance(node, ast.ClassDef):
+                graph._add_class(summary, node)
+            else:
+                module_body.append(node)
+        graph._add_body(summary, "<module>", None, module_body, line=1, end_line=0)
     graph._attach_sources(summary, walk_of(tree, REFS))
     return summary
 
@@ -102,7 +117,7 @@ def summary_json(summarize, source: str, path: str) -> str:
 # ----------------------------------------------------------------------
 # summaries: every module in the repository
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "perfbench"])
+@pytest.mark.parametrize("tree", TREES)
 def test_summaries_match_the_three_walk_reference(tree):
     files = sorted((ROOT / tree).rglob("*.py"))
     assert files
@@ -148,6 +163,66 @@ def test_collected_nodes_are_in_walk_order():
     imports, refs = visitor.collected_nodes()
     assert imports == walk_of(tree, IMPORTS)
     assert refs == walk_of(tree, REFS)
+
+
+# ----------------------------------------------------------------------
+# leaves: stepped over by the traversal and the call-site scan
+# ----------------------------------------------------------------------
+def test_no_rule_reads_a_leaf_class():
+    """A leaf class is never entered, so a ``visit_`` method for it (or for
+    what ``NodeVisitor.visit_Constant`` dispatches to) would never run, and
+    a collected leaf would never be collected."""
+    for cls in LEAF_NODES:
+        name = f"visit_{cls.__name__}"
+        assert getattr(DeterminismVisitor, name, None) is getattr(
+            ast.NodeVisitor, name, None
+        ), name
+    for name in ("Num", "Str", "Bytes", "NameConstant", "Ellipsis"):
+        assert not hasattr(DeterminismVisitor, f"visit_{name}"), name
+    assert [cls for cls in LEAF_NODES if issubclass(cls, _COLLECTED_NODES)] == []
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_leaf_nodes_have_only_leaf_children(tree):
+    """So stepping over a leaf skips no node of any other class."""
+    for file in sorted((ROOT / tree).rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if type(node) in LEAF_NODES:
+                children = {type(child) for child in ast.iter_child_nodes(node)}
+                assert children <= LEAF_NODES, (file, node)
+
+
+def test_traversal_enters_every_node_but_the_leaves():
+    entered = []
+
+    class Recording(DeterminismVisitor):
+        def visit(self, node):
+            entered.append(node)
+            return super().visit(node)
+
+    tree = ast.parse((ROOT / "src/repro/analysis/dataflow.py").read_text())
+    Recording("mod.py").visit(tree)
+    expected = [node for node in ast.walk(tree) if type(node) not in LEAF_NODES]
+    assert len(entered) == len(expected)
+    assert {id(node) for node in entered} == {id(node) for node in expected}
+
+
+def call_order(analyzer: type, source: str) -> list[tuple[int, int]]:
+    body = ast.parse(textwrap.dedent(source)).body
+    return [(c.line, c.col) for c in analyzer("f", None, body, "mod.py").run().calls]
+
+
+def test_call_scan_is_in_walk_order():
+    """Nested calls where a depth-first walk, or one taking a node's fields
+    in reverse, would order the call sites differently from ``ast.walk``."""
+    source = """
+        x = f(g(a(b())), h(c()), k=m(n()), *s(t()))[u(v())]
+        if p(q(r())) or w(y(z())):
+            raise E(o(d()), e=i(j()))
+        """
+    walk_order = call_order(StockCallScan, source)
+    assert len(walk_order) == 23
+    assert call_order(dataflow.FunctionAnalyzer, source) == walk_order
 
 
 # ----------------------------------------------------------------------

@@ -122,10 +122,10 @@ def test_hung_worker_is_killed_and_point_retried(serial_report, tmp_path):
 # ----------------------------------------------------------------------
 # whole-supervisor kills, through the CLI
 # ----------------------------------------------------------------------
-def cli_command(state_dir, *extra, seeds=2):
+def cli_command(state_dir, *extra, seeds=2, seconds=1):
     return [
         sys.executable, "-m", "repro", "chaos",
-        "--jobs", "2", "--seeds", str(seeds), "--seconds", "1",
+        "--jobs", "2", "--seeds", str(seeds), "--seconds", str(seconds),
         "--intensities", "1.0", "--state-dir", str(state_dir), *extra,
     ]
 
@@ -136,10 +136,20 @@ def cli_env():
     return env
 
 
+def ok_results(path: Path) -> int:
+    """Points journalled ok so far.  Telemetry records do not count: a
+    ``point_finished`` record carries ``"status":"ok"`` too, but it is
+    written before the point's result."""
+    if not path.is_file():
+        return 0
+    _header, records = Journal.load(path)
+    return sum(r.get("status") == "ok" for r in records.values())
+
+
 def wait_for_ok_record(path: Path, deadline_s: float = 60.0) -> None:
     start = time.monotonic()
     while time.monotonic() - start < deadline_s:
-        if path.is_file() and '"status":"ok"' in path.read_text():
+        if ok_results(path):
             return
         time.sleep(0.05)
     raise AssertionError(f"no journalled point within {deadline_s}s")
@@ -187,12 +197,16 @@ def test_resume_after_sigkill_matches_serial(tmp_path):
 
 
 def test_sigint_flushes_journal_and_prints_resume_command(tmp_path):
-    # 8 points: enough runway that the SIGINT lands mid-campaign.
-    big = chaos_fleet_spec([1, 2, 3, 4], duration_ns=1 * SEC, intensities=(1.0,))
+    # 16 points of ~0.1 s on 2 workers: the first result lands with ~0.8 s
+    # of points still pending, so the SIGINT cannot arrive after the
+    # campaign has finished (that exits -2 from interpreter shutdown) --
+    # nor before any result is journalled, since the wait reads results.
+    seeds = [1, 2, 3, 4, 5, 6, 7, 8]
+    big = chaos_fleet_spec(seeds, duration_ns=4 * SEC, intensities=(1.0,))
     state = tmp_path / "state"
     journal = journal_path(big, state)
     proc = subprocess.Popen(
-        cli_command(state, seeds=4),
+        cli_command(state, seeds=len(seeds), seconds=4),
         cwd=REPO_ROOT,
         env=cli_env(),
         stdout=subprocess.PIPE,
@@ -202,11 +216,14 @@ def test_sigint_flushes_journal_and_prints_resume_command(tmp_path):
     try:
         wait_for_ok_record(journal)
         os.killpg(proc.pid, signal.SIGINT)
+        # Read after the signal, so this bounds what was done when it was sent.
+        done_at_signal = ok_results(journal)
         _stdout, stderr = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
+    assert done_at_signal < len(big.points)
     assert proc.returncode == 130, stderr
     text = stderr.decode()
     assert "resume with: python -m repro chaos" in text

@@ -8,7 +8,8 @@ it from growing back:
 * ctms-lint (``repro.analysis``) loads nothing of the simulator, so it
   can lint a tree whose simulator modules do not even parse;
 * the event kernel (``repro.sim``) loads nothing above itself;
-* no simulator module loads the lint engine.
+* no simulator module loads the lint engine;
+* a serial campaign (``run_fleet(jobs=1)``) never loads ``multiprocessing``.
 """
 
 import json
@@ -37,11 +38,16 @@ def loaded_after(*modules: str) -> dict[str, list[str]]:
         "    loaded[name] = sorted(m for m in sys.modules if m.split('.')[0] == 'repro')\n"
         "print(json.dumps(loaded))\n"
     )
+    return json.loads(run_fresh(script))
+
+
+def run_fresh(script: str) -> str:
+    """``script``'s stdout, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    return json.loads(done.stdout)
+    return done.stdout
 
 
 def outside(loaded: list[str], *allowed: str) -> list[str]:
@@ -86,3 +92,15 @@ FACADES = sorted(
 def test_importing_a_facade_loads_no_other_module(package):
     loaded = loaded_after(package)[package]
     assert loaded == sorted({"repro", package})
+
+
+def test_serial_campaign_never_loads_multiprocessing(tmp_path):
+    script = (
+        "import sys\n"
+        "from repro.experiments.fleet import chaos_fleet_spec, run_fleet\n"
+        "from repro.sim.units import SEC\n"
+        "spec = chaos_fleet_spec([1], duration_ns=SEC // 10, intensities=(1.0,))\n"
+        f"assert run_fleet(spec, jobs=1, state_dir={str(tmp_path)!r}).ok()\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    assert run_fresh(script).strip() == "False"
