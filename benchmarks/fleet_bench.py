@@ -18,7 +18,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.fleet import chaos_fleet_spec, run_fleet
+from repro.experiments.chaos import chaos_fleet_spec
+from repro.experiments.fleet import run_fleet
 from repro.sim.units import SEC
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

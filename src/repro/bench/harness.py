@@ -86,7 +86,8 @@ def _workload_chaos_point(quick: bool) -> dict[str, Any]:
 
 def _workload_fleet_campaign(quick: bool) -> dict[str, Any]:
     """A small serial campaign through the real fleet runner."""
-    from repro.experiments.fleet import chaos_fleet_spec, run_fleet
+    from repro.experiments.chaos import chaos_fleet_spec
+    from repro.experiments.fleet import run_fleet
 
     duration_ns = (1 if quick else 2) * SEC
     seeds = [1] if quick else [1, 2]

@@ -122,12 +122,14 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from repro.experiments.ablations import TABLE_HEADERS, run_matrix
+    from repro.experiments.ablations import (
+        TABLE_HEADERS,
+        ablation_fleet_spec,
+        run_matrix,
+    )
     from repro.experiments.reporting import format_table
 
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
-        from repro.experiments.fleet import ablation_fleet_spec
-
         spec = ablation_fleet_spec(
             args.seconds * SEC,
             seeds=range(args.seed, args.seed + args.seeds),
@@ -145,13 +147,15 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.experiments.chaos import run_campaign, run_smoke
+    from repro.experiments.chaos import (
+        chaos_fleet_spec,
+        run_campaign,
+        run_smoke,
+    )
 
     if getattr(args, "scenario", "survival") == "failover":
         return _cmd_chaos_failover(args)
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
-        from repro.experiments.fleet import chaos_fleet_spec
-
         spec = chaos_fleet_spec(
             seeds=range(args.seed, args.seed + args.seeds),
             duration_ns=args.seconds * SEC,
@@ -177,13 +181,12 @@ def _cmd_chaos(args) -> int:
 def _cmd_chaos_failover(args) -> int:
     """The control-plane scenario: admission + shedding + failover."""
     from repro.experiments.failover import (
+        failover_fleet_spec,
         run_failover_campaign,
         run_failover_smoke,
     )
 
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
-        from repro.experiments.fleet import failover_fleet_spec
-
         spec = failover_fleet_spec(
             seeds=range(args.seed, args.seed + args.seeds),
             duration_ns=args.seconds * SEC,
@@ -487,6 +490,14 @@ COMMANDS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an int; a value below 1 is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -688,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--seeds",
-                type=int,
+                type=positive_int,
                 default=1,
                 help="fleet mode: number of consecutive seeds starting "
                 "at --seed",

@@ -6,13 +6,15 @@ transmitter (the paper's own framing of the IOCC contention problem: "If
 the CPU is executing a memory intensive computation at the time, the
 arbitration between the DMA and the CPU access will degrade the execution
 speed of both").  Used by ``benchmarks/test_ablations.py`` and the
-``python -m repro ablate`` command.
+``python -m repro ablate`` command.  The end of the module is the
+``ablation`` fleet campaign kind: the matrix sharded per (variant, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator
+import hashlib
+from dataclasses import asdict, dataclass
+from typing import Generator, Optional
 
 from repro.core.session import CTMSSession
 from repro.experiments.runner import build_scenario, run_scenario
@@ -144,3 +146,73 @@ TABLE_HEADERS = [
     "token wait(us)",
     "lost",
 ]
+
+
+# ----------------------------------------------------------------------
+# the "ablation" fleet campaign kind (see repro.experiments.fleet)
+# ----------------------------------------------------------------------
+def ablation_fleet_spec(
+    duration_ns: int,
+    seeds: list[int] | range = (1,),
+    variants: Optional[list[str]] = None,
+):
+    """The Section 5.3 one-switch-at-a-time matrix, sharded per variant."""
+    from repro.experiments.fleet import FleetPoint, FleetSpec
+
+    seeds = list(seeds)
+    names = variants or list(matrix_variants(duration_ns))
+    points = []
+    for name in names:
+        task_hash = hashlib.sha256(
+            f"ablation\0{name}\0{duration_ns}".encode()
+        ).hexdigest()[:12]
+        for seed in seeds:
+            points.append(
+                FleetPoint(
+                    task_hash=task_hash,
+                    seed=seed,
+                    params={
+                        "variant": name,
+                        "duration_ns": duration_ns,
+                        "seed": seed,
+                    },
+                    label=f"ablation {name!r} seed {seed}",
+                    replay=(
+                        f"python -m repro ablate "
+                        f"--seconds {max(1, duration_ns // SEC)} --seed {seed}"
+                    ),
+                )
+            )
+    return FleetSpec(
+        kind="ablation",
+        points=points,
+        meta={"duration_ns": duration_ns, "seeds": seeds, "variants": names},
+    )
+
+
+def run_point(params: dict) -> dict:
+    """One fleet point: a named variant at one seed, as a JSON-safe dict."""
+    entry = run_variant(
+        params["variant"], params["duration_ns"], params["seed"]
+    )
+    return {"seed": params["seed"], **asdict(entry)}
+
+
+def render_fleet(spec, results: dict[str, dict]) -> str:
+    """The merged matrix, one row per (variant, seed) in spec order."""
+    from repro.experiments.reporting import format_table
+
+    rows = []
+    for point in spec.points:
+        record = results.get(point.key)
+        if record is None:
+            continue
+        data = dict(record["result"])
+        seed = data.pop("seed")
+        entry = AblationEntry(**data)
+        rows.append([str(seed)] + entry.as_row())
+    return format_table(
+        "Fleet ablation matrix (one switch flipped at a time)",
+        ["seed"] + TABLE_HEADERS,
+        rows,
+    )

@@ -15,7 +15,8 @@ Each (intensity, profile) run gets a fresh testbed with the same seed, the
 same :class:`~repro.faults.plan.FaultPlan` (built once per intensity), a
 :class:`~repro.faults.invariants.StreamInvariantMonitor`, and a survival
 verdict.  Everything is derived from the seed -- two campaigns with the
-same seed render byte-identical reports.
+same seed render byte-identical reports.  The end of the module is the
+``chaos`` fleet campaign kind: the same runs over a seed population.
 """
 
 from __future__ import annotations
@@ -318,3 +319,149 @@ def run_smoke(seed: int = 1, duration_ns: int = 4 * SEC) -> SurvivalReport:
     return run_campaign(
         seed=seed, duration_ns=duration_ns, intensities=(2.0,)
     )
+
+
+# ----------------------------------------------------------------------
+# the "chaos" fleet campaign kind (see repro.experiments.fleet)
+# ----------------------------------------------------------------------
+def chaos_fleet_spec(
+    seeds: list[int] | range,
+    duration_ns: int = 8 * SEC,
+    intensities: tuple[float, ...] = DEFAULT_INTENSITIES,
+):
+    """Chaos survival over a seed population instead of one anecdote."""
+    from repro.experiments.fleet import FleetPoint, FleetSpec
+
+    seeds = list(seeds)
+    points = []
+    for intensity in intensities:
+        for seed in seeds:
+            plan_hash = build_plan(seed, intensity, duration_ns).stable_hash()
+            for profile in PROFILES:
+                points.append(
+                    FleetPoint(
+                        task_hash=f"{plan_hash}.{profile}",
+                        seed=seed,
+                        profile=profile,
+                        params={
+                            "seed": seed,
+                            "profile": profile,
+                            "intensity": intensity,
+                            "duration_ns": duration_ns,
+                        },
+                        label=(
+                            f"chaos plan {plan_hash} seed {seed} "
+                            f"profile {profile} intensity {intensity:.2f}"
+                        ),
+                        replay=(
+                            f"python -m repro chaos --seed {seed} "
+                            f"--seconds {max(1, duration_ns // SEC)} "
+                            f"--intensities {intensity:g}"
+                        ),
+                    )
+                )
+    return FleetSpec(
+        kind="chaos",
+        points=points,
+        meta={
+            "seeds": seeds,
+            "duration_ns": duration_ns,
+            "intensities": list(intensities),
+        },
+    )
+
+
+def run_point(params: dict) -> dict:
+    """One fleet point: a profile under its plan, as a JSON-safe dict."""
+    plan = build_plan(
+        params["seed"], params["intensity"], params["duration_ns"]
+    )
+    run = run_one(
+        params["profile"],
+        plan,
+        params["seed"],
+        params["duration_ns"],
+        intensity=params["intensity"],
+    )
+    return run.as_dict()
+
+
+def render_fleet(spec, results: dict[str, dict]) -> str:
+    """The merged survival report, in spec order."""
+    from repro.experiments.reporting import format_table
+
+    duration_ns = spec.meta["duration_ns"]
+    seeds = spec.meta["seeds"]
+    lines = [
+        "Fleet chaos survival: identical fault plans vs stock and CTMSP",
+        f"{len(seeds)} seed(s), {duration_ns / SEC:.3f} s per run, "
+        f"invariants: loss <= {SURVIVAL_MAX_LOSS_FRACTION * 100:.2f}%, "
+        f"gap <= {SURVIVAL_MAX_INTERARRIVAL_NS / MS:.0f} ms, "
+        f">= {SURVIVAL_THROUGHPUT_BYTES_PER_SEC / 1000:.1f} KB/s",
+    ]
+    totals = {profile: [0, 0] for profile in PROFILES}  # survived, counted
+    for intensity in spec.meta["intensities"]:
+        lines.append("")
+        rows = []
+        for profile in PROFILES:
+            runs = []
+            for point in spec.points:
+                if (
+                    point.profile == profile
+                    and point.params["intensity"] == intensity
+                    and point.key in results
+                ):
+                    runs.append(results[point.key]["result"])
+            if not runs:
+                rows.append([profile, "0", "-", "-", "-", "-", "-"])
+                continue
+            survived = sum(
+                1
+                for r in runs
+                if r["established"] and not r["violated"]
+            )
+            established = sum(1 for r in runs if r["established"])
+            delivered = sum(r["delivered"] for r in runs)
+            lost = sum(r["lost_packets"] for r in runs)
+            mean_kbs = (
+                sum(r["throughput_bytes_per_sec"] for r in runs)
+                / len(runs)
+                / 1000
+            )
+            totals[profile][0] += survived
+            totals[profile][1] += len(runs)
+            rows.append(
+                [
+                    profile,
+                    str(len(runs)),
+                    str(established),
+                    str(survived),
+                    str(delivered),
+                    str(lost),
+                    f"{mean_kbs:.1f}",
+                ]
+            )
+        lines.append(
+            format_table(
+                f"intensity {intensity:.2f}",
+                [
+                    "profile",
+                    "points",
+                    "established",
+                    "survived",
+                    "delivered",
+                    "lost",
+                    "mean KB/s",
+                ],
+                rows,
+            )
+        )
+    lines.append("")
+    lines.append(
+        "survived: "
+        + ", ".join(
+            f"{profile} {totals[profile][0]}/{totals[profile][1]}"
+            for profile in PROFILES
+        )
+    )
+    return "\n".join(lines)

@@ -27,7 +27,8 @@ why the deployment keeps a hot-spare replica instead of doubling up.
 
 Every run is derived from the seed, so a campaign renders byte-identical
 reports across repeats and across ``--jobs`` levels (the fleet harness
-re-renders from journaled results in spec order).
+re-renders from journaled results in spec order).  The end of the module
+is the ``failover`` fleet campaign kind: one point per (mode, seed).
 """
 
 from __future__ import annotations
@@ -447,3 +448,126 @@ def run_failover_campaign(
 def run_failover_smoke(seed: int = 1, duration_ns: int = 4 * SEC) -> FailoverReport:
     """A fast campaign for test suites and ``make chaos``."""
     return run_failover_campaign(seed=seed, duration_ns=duration_ns)
+
+
+# ----------------------------------------------------------------------
+# the "failover" fleet campaign kind (see repro.experiments.fleet)
+# ----------------------------------------------------------------------
+def failover_fleet_spec(
+    seeds: list[int] | range,
+    duration_ns: int = 6 * SEC,
+    modes: Optional[tuple[str, ...]] = None,
+):
+    """The control-plane failover campaign over a seed population.
+
+    One point per (mode, seed): every mode faces the identical churn and
+    the identical mid-run server crash, so the per-seed triple renders a
+    direct survival comparison.
+    """
+    from repro.experiments.fleet import FleetPoint, FleetSpec
+
+    seeds = list(seeds)
+    mode_list = tuple(modes) if modes else MODES
+    churn_hash = build_churn(duration_ns).stable_hash()
+    plan_hash = build_crash_plan(duration_ns).stable_hash()
+    points = []
+    for seed in seeds:
+        for mode in mode_list:
+            points.append(
+                FleetPoint(
+                    task_hash=f"{plan_hash}.{churn_hash}.{mode}",
+                    seed=seed,
+                    profile=mode,
+                    params={
+                        "mode": mode,
+                        "seed": seed,
+                        "duration_ns": duration_ns,
+                    },
+                    label=f"failover mode {mode} seed {seed}",
+                    replay=(
+                        f"python -m repro chaos --scenario failover "
+                        f"--seed {seed} "
+                        f"--seconds {max(1, duration_ns // SEC)}"
+                    ),
+                )
+            )
+    return FleetSpec(
+        kind="failover",
+        points=points,
+        meta={
+            "seeds": seeds,
+            "duration_ns": duration_ns,
+            "modes": list(mode_list),
+        },
+    )
+
+
+def run_point(params: dict) -> dict:
+    """One fleet point: a control mode at one seed, as a JSON-safe dict."""
+    run = run_failover_one(
+        params["mode"], params["seed"], params["duration_ns"]
+    )
+    return run.as_dict()
+
+
+def render_fleet(spec, results: dict[str, dict]) -> str:
+    """The merged per-seed survival table, in spec order."""
+    from repro.experiments.reporting import format_table
+
+    modes = spec.meta["modes"]
+    duration_ns = spec.meta["duration_ns"]
+    lines = [
+        "Fleet failover chaos: control modes vs a mid-campaign crash",
+        f"{len(spec.meta['seeds'])} seed(s), {duration_ns / SEC:.3f} s "
+        f"per run, crash at {duration_ns / 2 / SEC:.3f} s",
+        "",
+    ]
+    rows = []
+    totals = {mode: [0, 0] for mode in modes}  # survived, admitted
+    for point in spec.points:
+        record = results.get(point.key)
+        if record is None:
+            continue
+        run = FailoverRun.from_dict(record["result"])
+        admitted = run.admitted()
+        totals[run.mode][0] += run.survived_count()
+        totals[run.mode][1] += len(admitted)
+        stranded = sum(
+            1 for s in admitted if not s.survived()
+        )
+        rows.append(
+            [
+                str(run.seed),
+                run.mode,
+                str(len(run.sessions)),
+                str(len(admitted)),
+                run.survival_line(),
+                str(stranded),
+                str(sum(s.failovers for s in run.sessions)),
+                str(sum(s.lost_packets for s in run.sessions)),
+            ]
+        )
+    lines.append(
+        format_table(
+            "per-seed survival",
+            [
+                "seed",
+                "mode",
+                "requests",
+                "admitted",
+                "survived",
+                "lost streams",
+                "failovers",
+                "lost pkts",
+            ],
+            rows,
+        )
+    )
+    lines.append("")
+    lines.append(
+        "admitted sessions surviving: "
+        + ", ".join(
+            f"{mode} {totals[mode][0]}/{totals[mode][1]}" for mode in modes
+        )
+    )
+    return "\n".join(lines)

@@ -1,10 +1,11 @@
 """Supervised parallel campaign fleet: shard, retry, journal, merge.
 
-Chaos campaigns, ablation matrices, and model-validation sweeps are
-embarrassingly parallel across ``(seed, profile, intensity)`` points, but a
-naive pool dies wholesale on the first worker exception and loses hours of
-completed results to one Ctrl-C.  This module is the robust runner the
-robustness stack deserves:
+Chaos campaigns, ablation matrices, model-validation sweeps and failover
+campaigns are embarrassingly parallel across ``(seed, profile, intensity)``
+points, but a naive pool dies wholesale on the first worker exception and
+loses hours of completed results to one Ctrl-C.  This module is the robust
+runner the robustness stack deserves, and it knows nothing about what a
+point computes:
 
 * **sharding** -- a :class:`FleetSpec` enumerates every point of a campaign
   in a deterministic order; workers execute points in whatever order the
@@ -25,7 +26,14 @@ robustness stack deserves:
 * **deterministic merge** -- the report is assembled from the spec's point
   order and the journalled result dicts, never from completion order, so
   ``jobs=1``, ``jobs=4``, and a killed-then-resumed run render
-  byte-identical reports (a golden test pins this).
+  byte-identical reports (a golden test pins this);
+* **telemetry, status and watch** over the same journal.
+
+What a point *is* belongs to its experiment module.  :data:`KIND_MODULES`
+maps each campaign kind to the module that builds its spec and defines
+``run_point(params) -> dict`` (run inside a worker) and
+``render_fleet(spec, results) -> str`` (the merged report); the fleet
+imports that module only when it runs or renders a campaign of that kind.
 
 This is deliberately the *one* module in ``repro`` that may touch process
 machinery and the host clock -- ctms-lint rule CTMS303 confines
@@ -42,22 +50,35 @@ import os
 import signal
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.experiments.reporting import failed_points_section, format_table
+from repro.experiments.reporting import failed_points_section
 from repro.faults.workers import WorkerFaultError, WorkerFaultSpec
 from repro.obs import fleetstats
 from repro.obs import telemetry as obs_telemetry
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.units import SEC, from_sec, to_ms
+from repro.sim.units import from_sec, to_ms
 
 #: Journal schema version (bump on incompatible record changes).
 JOURNAL_VERSION = 1
 
-#: Campaign kinds the fleet knows how to run.
-KINDS = ("chaos", "ablation", "validation", "failover")
+#: Campaign kind -> the module defining its ``run_point`` and
+#: ``render_fleet``.  Kind strings are hashed into campaign ids and written
+#: into journal headers, so one is never renamed.
+KIND_MODULES = {
+    "chaos": "repro.experiments.chaos",
+    "ablation": "repro.experiments.ablations",
+    "validation": "repro.experiments.validation",
+    "failover": "repro.experiments.failover",
+}
+
+
+def kind_module(kind: str):
+    """The experiment module that owns campaign kind ``kind``."""
+    return import_module(KIND_MODULES[kind])
 
 
 # ----------------------------------------------------------------------
@@ -75,8 +96,6 @@ class FleetPoint:
     worker rebuilds everything heavy (plans, testbeds) from them.
     """
 
-    kind: str
-    key: str
     task_hash: str
     seed: int
     params: dict[str, Any]
@@ -84,6 +103,10 @@ class FleetPoint:
     replay: str
     #: Profile name for worker-fault matching ("" when not applicable).
     profile: str = ""
+
+    @property
+    def key(self) -> str:
+        return f"{self.task_hash}:{self.seed}"
 
 
 @dataclass
@@ -95,8 +118,12 @@ class FleetSpec:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown fleet kind {self.kind!r}; known: {KINDS}")
+        if self.kind not in KIND_MODULES:
+            raise ValueError(
+                f"unknown fleet kind {self.kind!r}; known: {tuple(KIND_MODULES)}"
+            )
+        if not self.points:
+            raise ValueError(f"{self.kind} campaign has no points")
         keys = [p.key for p in self.points]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate point keys in fleet spec")
@@ -110,238 +137,15 @@ class FleetSpec:
         return h.hexdigest()[:12]
 
 
-def chaos_fleet_spec(
-    seeds: list[int] | range,
-    duration_ns: int = 8 * SEC,
-    intensities: tuple[float, ...] = (0.5, 1.0, 2.0),
-) -> FleetSpec:
-    """Chaos survival over a seed population instead of one anecdote."""
-    from repro.experiments.chaos import PROFILES, build_plan
+def chaos_fleet_spec(*args: Any, **kwargs: Any) -> FleetSpec:
+    """Forwarder for perfbench, which imports the chaos builder from here.
 
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("chaos fleet needs at least one seed")
-    points: list[FleetPoint] = []
-    for intensity in intensities:
-        for seed in seeds:
-            plan_hash = build_plan(seed, intensity, duration_ns).stable_hash()
-            for profile in PROFILES:
-                task_hash = f"{plan_hash}.{profile}"
-                points.append(
-                    FleetPoint(
-                        kind="chaos",
-                        key=f"{task_hash}:{seed}",
-                        task_hash=task_hash,
-                        seed=seed,
-                        profile=profile,
-                        params={
-                            "seed": seed,
-                            "profile": profile,
-                            "intensity": intensity,
-                            "duration_ns": duration_ns,
-                        },
-                        label=(
-                            f"chaos plan {plan_hash} seed {seed} "
-                            f"profile {profile} intensity {intensity:.2f}"
-                        ),
-                        replay=(
-                            f"python -m repro chaos --seed {seed} "
-                            f"--seconds {max(1, duration_ns // SEC)} "
-                            f"--intensities {intensity:g}"
-                        ),
-                    )
-                )
-    return FleetSpec(
-        kind="chaos",
-        points=points,
-        meta={
-            "seeds": seeds,
-            "duration_ns": duration_ns,
-            "intensities": list(intensities),
-        },
-    )
-
-
-def ablation_fleet_spec(
-    duration_ns: int,
-    seeds: list[int] | range = (1,),
-    variants: Optional[list[str]] = None,
-) -> FleetSpec:
-    """The Section 5.3 one-switch-at-a-time matrix, sharded per variant."""
-    from repro.experiments.ablations import matrix_variants
-
-    seeds = list(seeds)
-    names = variants or list(matrix_variants(duration_ns, seeds[0]))
-    points: list[FleetPoint] = []
-    for name in names:
-        task_hash = hashlib.sha256(
-            f"ablation\0{name}\0{duration_ns}".encode()
-        ).hexdigest()[:12]
-        for seed in seeds:
-            points.append(
-                FleetPoint(
-                    kind="ablation",
-                    key=f"{task_hash}:{seed}",
-                    task_hash=task_hash,
-                    seed=seed,
-                    params={
-                        "variant": name,
-                        "duration_ns": duration_ns,
-                        "seed": seed,
-                    },
-                    label=f"ablation {name!r} seed {seed}",
-                    replay=(
-                        f"python -m repro ablate "
-                        f"--seconds {max(1, duration_ns // SEC)} --seed {seed}"
-                    ),
-                )
-            )
-    return FleetSpec(
-        kind="ablation",
-        points=points,
-        meta={"duration_ns": duration_ns, "seeds": seeds, "variants": names},
-    )
-
-
-def validation_fleet_spec(
-    seeds: list[int] | range, n_frames: int = 60
-) -> FleetSpec:
-    """Lazy-vs-detailed ring agreement over a seed population."""
-    seeds = list(seeds)
-    task_hash = hashlib.sha256(
-        f"validation\0{n_frames}".encode()
-    ).hexdigest()[:12]
-    points = [
-        FleetPoint(
-            kind="validation",
-            key=f"{task_hash}:{seed}",
-            task_hash=task_hash,
-            seed=seed,
-            params={"seed": seed, "n_frames": n_frames},
-            label=f"validation seed {seed} ({n_frames} frames)",
-            replay=(
-                "python -c \"from repro.experiments.validation import "
-                f"validate; print(validate({seed}, {n_frames}))\""
-            ),
-        )
-        for seed in seeds
-    ]
-    return FleetSpec(
-        kind="validation",
-        points=points,
-        meta={"seeds": seeds, "n_frames": n_frames},
-    )
-
-
-def failover_fleet_spec(
-    seeds: list[int] | range,
-    duration_ns: int = 6 * SEC,
-    modes: Optional[tuple[str, ...]] = None,
-) -> FleetSpec:
-    """The control-plane failover campaign over a seed population.
-
-    One point per (mode, seed): every mode faces the identical churn and
-    the identical mid-run server crash, so the per-seed triple renders a
-    direct survival comparison.
+    Every other caller imports
+    :func:`repro.experiments.chaos.chaos_fleet_spec` directly.
     """
-    from repro.experiments.failover import (
-        MODES,
-        build_churn,
-        build_crash_plan,
-    )
+    from repro.experiments.chaos import chaos_fleet_spec as build
 
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("failover fleet needs at least one seed")
-    mode_list = tuple(modes) if modes else MODES
-    churn_hash = build_churn(duration_ns).stable_hash()
-    plan_hash = build_crash_plan(duration_ns).stable_hash()
-    points: list[FleetPoint] = []
-    for seed in seeds:
-        for mode in mode_list:
-            task_hash = f"{plan_hash}.{churn_hash}.{mode}"
-            points.append(
-                FleetPoint(
-                    kind="failover",
-                    key=f"{task_hash}:{seed}",
-                    task_hash=task_hash,
-                    seed=seed,
-                    profile=mode,
-                    params={
-                        "mode": mode,
-                        "seed": seed,
-                        "duration_ns": duration_ns,
-                    },
-                    label=f"failover mode {mode} seed {seed}",
-                    replay=(
-                        f"python -m repro chaos --scenario failover "
-                        f"--seed {seed} "
-                        f"--seconds {max(1, duration_ns // SEC)}"
-                    ),
-                )
-            )
-    return FleetSpec(
-        kind="failover",
-        points=points,
-        meta={
-            "seeds": seeds,
-            "duration_ns": duration_ns,
-            "modes": list(mode_list),
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# point runners (executed inside workers -- must import lazily enough to
-# stay cheap, and must return JSON-safe dicts)
-# ----------------------------------------------------------------------
-def _run_chaos_point(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.experiments.chaos import build_plan, run_one
-
-    plan = build_plan(
-        params["seed"], params["intensity"], params["duration_ns"]
-    )
-    run = run_one(
-        params["profile"],
-        plan,
-        params["seed"],
-        params["duration_ns"],
-        intensity=params["intensity"],
-    )
-    return run.as_dict()
-
-
-def _run_ablation_point(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.experiments.ablations import run_variant
-
-    entry = run_variant(
-        params["variant"], params["duration_ns"], params["seed"]
-    )
-    return {"seed": params["seed"], **asdict(entry)}
-
-
-def _run_validation_point(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.experiments.validation import validate
-
-    result = validate(params["seed"], params["n_frames"])
-    return {"seed": params["seed"], **result.as_dict()}
-
-
-def _run_failover_point(params: dict[str, Any]) -> dict[str, Any]:
-    from repro.experiments.failover import run_failover_one
-
-    run = run_failover_one(
-        params["mode"], params["seed"], params["duration_ns"]
-    )
-    return run.as_dict()
-
-
-_POINT_RUNNERS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
-    "chaos": _run_chaos_point,
-    "ablation": _run_ablation_point,
-    "validation": _run_validation_point,
-    "failover": _run_failover_point,
-}
+    return build(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -475,8 +279,9 @@ class Journal:
     # -- writes --------------------------------------------------------
     def record_ok(
         self, point: FleetPoint, attempts: int, result: dict[str, Any]
-    ) -> None:
-        self._append(
+    ) -> dict[str, Any]:
+        """Journal a completed point; returns the record written."""
+        return self._append(
             {
                 "key": point.key,
                 "status": "ok",
@@ -488,8 +293,9 @@ class Journal:
 
     def record_failed(
         self, point: FleetPoint, attempts: int, error: str
-    ) -> None:
-        self._append(
+    ) -> dict[str, Any]:
+        """Journal a point that exhausted its retries; returns the record."""
+        return self._append(
             {
                 "key": point.key,
                 "status": "failed",
@@ -505,11 +311,12 @@ class Journal:
         """Append one telemetry record (same flush+fsync as results)."""
         self._append(obj)
 
-    def _append(self, obj: dict[str, Any]) -> None:
+    def _append(self, obj: dict[str, Any]) -> dict[str, Any]:
         self._fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
         self._fh.write("\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        return obj
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -617,7 +424,7 @@ def _worker_main(
 ) -> None:
     """Worker loop: pull a point, run it, report; ``None`` means retire."""
     fault = WorkerFaultSpec.from_dict(fault_dict) if fault_dict else None
-    runner = _POINT_RUNNERS[kind]
+    run_point = kind_module(kind).run_point
     while True:
         msg = inbox.get()
         if msg is None:
@@ -626,7 +433,7 @@ def _worker_main(
         try:
             if fault is not None and fault.matches(seed, profile, attempt):
                 _self_injure(fault)
-            result = runner(params)
+            result = run_point(params)
         except BaseException as exc:  # a point must never kill the loop
             results.put(
                 ("error", worker_id, key, f"{type(exc).__name__}: {exc}")
@@ -703,8 +510,7 @@ class FleetResult:
         result dicts -- completion order, job count, and resume history
         are invisible here by construction.
         """
-        renderer = _RENDERERS[self.spec.kind]
-        text = renderer(self.spec, self.results)
+        text = kind_module(self.spec.kind).render_fleet(self.spec, self.results)
         if self.failures:
             ordered = [
                 self.failures[p.key]
@@ -723,220 +529,6 @@ class FleetResult:
                 ]
             )
         return text
-
-
-# ----------------------------------------------------------------------
-# renderers (one per kind; all order by spec, never by completion)
-# ----------------------------------------------------------------------
-def _render_chaos(
-    spec: FleetSpec, results: dict[str, dict[str, Any]]
-) -> str:
-    from repro.experiments.chaos import (
-        PROFILES,
-        SURVIVAL_MAX_INTERARRIVAL_NS,
-        SURVIVAL_MAX_LOSS_FRACTION,
-        SURVIVAL_THROUGHPUT_BYTES_PER_SEC,
-    )
-    from repro.sim.units import MS
-
-    duration_ns = spec.meta["duration_ns"]
-    seeds = spec.meta["seeds"]
-    lines = [
-        "Fleet chaos survival: identical fault plans vs stock and CTMSP",
-        f"{len(seeds)} seed(s), {duration_ns / SEC:.3f} s per run, "
-        f"invariants: loss <= {SURVIVAL_MAX_LOSS_FRACTION * 100:.2f}%, "
-        f"gap <= {SURVIVAL_MAX_INTERARRIVAL_NS / MS:.0f} ms, "
-        f">= {SURVIVAL_THROUGHPUT_BYTES_PER_SEC / 1000:.1f} KB/s",
-    ]
-    totals = {profile: [0, 0] for profile in PROFILES}  # survived, counted
-    for intensity in spec.meta["intensities"]:
-        lines.append("")
-        rows = []
-        for profile in PROFILES:
-            runs = []
-            for point in spec.points:
-                if (
-                    point.profile == profile
-                    and point.params["intensity"] == intensity
-                    and point.key in results
-                ):
-                    runs.append(results[point.key]["result"])
-            if not runs:
-                rows.append([profile, "0", "-", "-", "-", "-", "-"])
-                continue
-            survived = sum(
-                1
-                for r in runs
-                if r["established"] and not r["violated"]
-            )
-            established = sum(1 for r in runs if r["established"])
-            delivered = sum(r["delivered"] for r in runs)
-            lost = sum(r["lost_packets"] for r in runs)
-            mean_kbs = (
-                sum(r["throughput_bytes_per_sec"] for r in runs)
-                / len(runs)
-                / 1000
-            )
-            totals[profile][0] += survived
-            totals[profile][1] += len(runs)
-            rows.append(
-                [
-                    profile,
-                    str(len(runs)),
-                    str(established),
-                    str(survived),
-                    str(delivered),
-                    str(lost),
-                    f"{mean_kbs:.1f}",
-                ]
-            )
-        lines.append(
-            format_table(
-                f"intensity {intensity:.2f}",
-                [
-                    "profile",
-                    "points",
-                    "established",
-                    "survived",
-                    "delivered",
-                    "lost",
-                    "mean KB/s",
-                ],
-                rows,
-            )
-        )
-    lines.append("")
-    lines.append(
-        "survived: "
-        + ", ".join(
-            f"{profile} {totals[profile][0]}/{totals[profile][1]}"
-            for profile in PROFILES
-        )
-    )
-    return "\n".join(lines)
-
-
-def _render_ablation(
-    spec: FleetSpec, results: dict[str, dict[str, Any]]
-) -> str:
-    from repro.experiments.ablations import TABLE_HEADERS, AblationEntry
-
-    rows = []
-    for point in spec.points:
-        record = results.get(point.key)
-        if record is None:
-            continue
-        data = dict(record["result"])
-        seed = data.pop("seed")
-        entry = AblationEntry(**data)
-        rows.append([str(seed)] + entry.as_row())
-    return format_table(
-        "Fleet ablation matrix (one switch flipped at a time)",
-        ["seed"] + TABLE_HEADERS,
-        rows,
-    )
-
-
-def _render_validation(
-    spec: FleetSpec, results: dict[str, dict[str, Any]]
-) -> str:
-    rows = []
-    agree = total = 0
-    for point in spec.points:
-        record = results.get(point.key)
-        if record is None:
-            continue
-        r = record["result"]
-        total += 1
-        agree += 1 if r["agrees"] else 0
-        rows.append(
-            [
-                str(r["seed"]),
-                str(r["frames"]),
-                str(r["max_delivery_skew_ns"]),
-                f"{r['mean_delivery_skew_ns']:.1f}",
-                str(r["detailed_token_hops"]),
-                "agree" if r["agrees"] else "DIVERGED",
-            ]
-        )
-    table = format_table(
-        "Fleet model validation: lazy vs hop-level token ring",
-        ["seed", "frames", "max skew(ns)", "mean skew(ns)", "token hops", "verdict"],
-        rows,
-    )
-    return table + f"\n\nagreement: {agree}/{total} seeds"
-
-
-def _render_failover(
-    spec: FleetSpec, results: dict[str, dict[str, Any]]
-) -> str:
-    from repro.experiments.failover import FailoverRun
-
-    modes = spec.meta["modes"]
-    duration_ns = spec.meta["duration_ns"]
-    lines = [
-        "Fleet failover chaos: control modes vs a mid-campaign crash",
-        f"{len(spec.meta['seeds'])} seed(s), {duration_ns / SEC:.3f} s "
-        f"per run, crash at {duration_ns / 2 / SEC:.3f} s",
-        "",
-    ]
-    rows = []
-    totals = {mode: [0, 0] for mode in modes}  # survived, admitted
-    for point in spec.points:
-        record = results.get(point.key)
-        if record is None:
-            continue
-        run = FailoverRun.from_dict(record["result"])
-        admitted = run.admitted()
-        totals[run.mode][0] += run.survived_count()
-        totals[run.mode][1] += len(admitted)
-        stranded = sum(
-            1 for s in admitted if not s.survived()
-        )
-        rows.append(
-            [
-                str(run.seed),
-                run.mode,
-                str(len(run.sessions)),
-                str(len(admitted)),
-                run.survival_line(),
-                str(stranded),
-                str(sum(s.failovers for s in run.sessions)),
-                str(sum(s.lost_packets for s in run.sessions)),
-            ]
-        )
-    lines.append(
-        format_table(
-            "per-seed survival",
-            [
-                "seed",
-                "mode",
-                "requests",
-                "admitted",
-                "survived",
-                "lost streams",
-                "failovers",
-                "lost pkts",
-            ],
-            rows,
-        )
-    )
-    lines.append("")
-    lines.append(
-        "admitted sessions surviving: "
-        + ", ".join(
-            f"{mode} {totals[mode][0]}/{totals[mode][1]}" for mode in modes
-        )
-    )
-    return "\n".join(lines)
-
-
-_RENDERERS: dict[str, Callable[[FleetSpec, dict], str]] = {
-    "chaos": _render_chaos,
-    "ablation": _render_ablation,
-    "validation": _render_validation,
-    "failover": _render_failover,
-}
 
 
 # ----------------------------------------------------------------------
@@ -1004,10 +596,8 @@ def run_fleet(
     else:
         journal = Journal.create(path, spec)
 
-    pending = [p for p in spec.points if p.key not in results]
-    failures: dict[str, dict[str, Any]] = {}
-    tw = _TelemetryWriter(journal, enabled=telemetry)
-    tw.emit(
+    run = _Outcomes(journal, results, retry, registry, emit, telemetry)
+    run.tw.emit(
         obs_telemetry.EVENT_CAMPAIGN_STARTED,
         campaign=spec.campaign_id(),
         kind=spec.kind,
@@ -1015,107 +605,133 @@ def run_fleet(
         resumed=len(results),
         jobs=jobs,
     )
-
-    def finish() -> FleetResult:
-        tw.emit(
-            obs_telemetry.EVENT_CAMPAIGN_FINISHED,
-            campaign=spec.campaign_id(),
-            completed=len(results),
-            failed=len(failures),
-            metrics=registry.as_dict(),
-        )
+    pending = [p for p in spec.points if p.key not in results]
+    try:
+        if jobs == 1:
+            _run_serial(run, spec.kind, pending, worker_faults)
+        else:
+            _run_supervised(
+                run, spec.kind, pending, jobs, point_timeout_s, worker_faults
+            )
+    except KeyboardInterrupt:
         journal.close()
-        return FleetResult(
-            spec=spec,
-            results=results,
-            failures=failures,
-            registry=registry,
-            journal=path,
-            jobs=jobs,
-        )
-
-    def interrupted() -> FleetInterrupted:
-        journal.close()
-        return FleetInterrupted(
+        raise FleetInterrupted(
             completed=len(results),
             total=len(spec.points),
             journal=path,
             resume_hint=hint,
-        )
+        ) from None
+    run.tw.emit(
+        obs_telemetry.EVENT_CAMPAIGN_FINISHED,
+        campaign=spec.campaign_id(),
+        completed=len(results),
+        failed=len(run.failures),
+        metrics=registry.as_dict(),
+    )
+    journal.close()
+    return FleetResult(
+        spec=spec,
+        results=results,
+        failures=run.failures,
+        registry=registry,
+        journal=path,
+        jobs=jobs,
+    )
 
-    if jobs == 1:
-        try:
-            _run_serial(
-                spec, pending, journal, results, failures, retry,
-                worker_faults, registry, emit, tw,
+
+class _Outcomes:
+    """The one outcome path both loops share.
+
+    Every attempt is dispatched, then succeeds or fails, through here:
+    telemetry, the journal record (kept as the in-memory result), the
+    fleet counters and, for a failed attempt, the retry decision.  The
+    loops only decide *where* a point runs and when a retry is due.
+    """
+
+    def __init__(
+        self,
+        journal: Journal,
+        results: dict[str, dict[str, Any]],
+        retry: RetryPolicy,
+        registry: MetricsRegistry,
+        log: Callable[[str], None],
+        telemetry: bool,
+    ) -> None:
+        self.journal = journal
+        #: key -> journal "ok" record.
+        self.results = results
+        #: key -> journal "failed" record.
+        self.failures: dict[str, dict[str, Any]] = {}
+        self.retry = retry
+        self.registry = registry
+        self.log = log
+        self.tw = _TelemetryWriter(journal, enabled=telemetry)
+
+    def dispatched(self, point: FleetPoint, attempt: int, worker: int) -> None:
+        self.registry.counter(fleetstats.POINTS_DISPATCHED).incr()
+        self.tw.point_started(point, attempt, worker=worker)
+
+    def succeeded(
+        self,
+        point: FleetPoint,
+        attempt: int,
+        worker: int,
+        started_ns: int,
+        result: dict[str, Any],
+    ) -> None:
+        self.tw.point_finished(
+            point, attempt, worker, "ok",
+            to_ms(time.monotonic_ns() - started_ns), result,
+        )
+        self.results[point.key] = self.journal.record_ok(point, attempt, result)
+        self.registry.counter(fleetstats.POINTS_COMPLETED).incr()
+
+    def failed(
+        self,
+        point: FleetPoint,
+        attempt: int,
+        worker: int,
+        started_ns: int,
+        error: str,
+    ) -> bool:
+        """An attempt that ended in an error; True when it will be retried."""
+        self.tw.point_finished(
+            point, attempt, worker, "error",
+            to_ms(time.monotonic_ns() - started_ns),
+        )
+        return self.retry_or_fail(point, attempt, error)
+
+    def retry_or_fail(self, point: FleetPoint, attempt: int, error: str) -> bool:
+        """Handle one failed attempt; True when the point should be retried."""
+        if attempt < self.retry.max_attempts:
+            backoff_s = self.retry.backoff_for(attempt)
+            self.registry.counter(fleetstats.POINTS_RETRIED).incr()
+            self.tw.emit(
+                obs_telemetry.EVENT_POINT_RETRIED,
+                point=point.key,
+                seed=point.seed,
+                attempt=attempt,
+                error=error,
+                backoff_s=backoff_s,
             )
-        except KeyboardInterrupt:
-            raise interrupted() from None
-        return finish()
-
-    try:
-        _run_supervised(
-            spec, pending, journal, results, failures, retry,
-            point_timeout_s, worker_faults, registry, jobs, emit, tw,
+            self.log(
+                f"{point.label}: attempt {attempt} failed ({error}); "
+                f"retrying in {backoff_s:.2f}s"
+            )
+            return True
+        self.registry.counter(fleetstats.POINTS_FAILED).incr()
+        self.failures[point.key] = self.journal.record_failed(
+            point, attempt, error
         )
-    except KeyboardInterrupt:
-        raise interrupted() from None
-    return finish()
-
-
-def _record_outcome(
-    point: FleetPoint,
-    attempt: int,
-    error: str,
-    retry: RetryPolicy,
-    journal: Journal,
-    failures: dict[str, dict[str, Any]],
-    registry: MetricsRegistry,
-    emit: Callable[[str], None],
-    tw: _TelemetryWriter,
-) -> bool:
-    """Handle one failed attempt; True when the point should be retried."""
-    if attempt < retry.max_attempts:
-        registry.counter(fleetstats.POINTS_RETRIED).incr()
-        tw.emit(
-            obs_telemetry.EVENT_POINT_RETRIED,
-            point=point.key,
-            seed=point.seed,
-            attempt=attempt,
-            error=error,
-            backoff_s=retry.backoff_for(attempt),
-        )
-        emit(
-            f"{point.label}: attempt {attempt} failed ({error}); "
-            f"retrying in {retry.backoff_for(attempt):.2f}s"
-        )
-        return True
-    registry.counter(fleetstats.POINTS_FAILED).incr()
-    journal.record_failed(point, attempt, error)
-    failures[point.key] = {
-        "key": point.key,
-        "status": "failed",
-        "seed": point.seed,
-        "attempts": attempt,
-        "error": error,
-        "label": point.label,
-        "replay": point.replay,
-    }
-    emit(f"{point.label}: FAILED after {attempt} attempt(s): {error}")
-    return False
+        self.log(f"{point.label}: FAILED after {attempt} attempt(s): {error}")
+        return False
 
 
 def _run_serial(
-    spec: FleetSpec,
+    run: _Outcomes,
+    kind: str,
     pending: list[FleetPoint],
-    journal: Journal,
-    results: dict[str, dict[str, Any]],
-    failures: dict[str, dict[str, Any]],
-    retry: RetryPolicy,
     worker_faults: Optional[WorkerFaultSpec],
-    registry: MetricsRegistry,
-    emit: Callable[[str], None],
-    tw: _TelemetryWriter,
 ) -> None:
     """The in-process reference path (also the no-multiprocessing fallback).
 
@@ -1123,13 +739,12 @@ def _run_serial(
     the sole process would take the supervisor down with it, which is
     exactly what the parallel path exists to survive.
     """
-    runner = _POINT_RUNNERS[spec.kind]
+    run_point = kind_module(kind).run_point
     for point in pending:
         attempt = 0
         while True:
             attempt += 1
-            registry.counter(fleetstats.POINTS_DISPATCHED).incr()
-            tw.point_started(point, attempt, worker=0)
+            run.dispatched(point, attempt, worker=0)
             started_ns = time.monotonic_ns()
             try:
                 if (
@@ -1140,59 +755,33 @@ def _run_serial(
                     )
                 ):
                     raise WorkerFaultError("injected worker fault: fail")
-                result = runner(point.params)
+                result = run_point(point.params)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
-                tw.point_finished(
-                    point, attempt, 0, "error",
-                    to_ms(time.monotonic_ns() - started_ns),
-                )
-                if _record_outcome(
-                    point, attempt, error, retry, journal, failures,
-                    registry, emit, tw,
-                ):
-                    time.sleep(retry.backoff_for(attempt))
+                if run.failed(point, attempt, 0, started_ns, error):
+                    time.sleep(run.retry.backoff_for(attempt))
                     continue
-                break
             else:
-                tw.point_finished(
-                    point, attempt, 0, "ok",
-                    to_ms(time.monotonic_ns() - started_ns),
-                    result,
-                )
-                journal.record_ok(point, attempt, result)
-                results[point.key] = {
-                    "key": point.key,
-                    "status": "ok",
-                    "seed": point.seed,
-                    "attempts": attempt,
-                    "result": result,
-                }
-                registry.counter(fleetstats.POINTS_COMPLETED).incr()
-                break
+                run.succeeded(point, attempt, 0, started_ns, result)
+            break
 
 
 def _run_supervised(
-    spec: FleetSpec,
+    run: _Outcomes,
+    kind: str,
     pending: list[FleetPoint],
-    journal: Journal,
-    results: dict[str, dict[str, Any]],
-    failures: dict[str, dict[str, Any]],
-    retry: RetryPolicy,
+    jobs: int,
     point_timeout_s: float,
     worker_faults: Optional[WorkerFaultSpec],
-    registry: MetricsRegistry,
-    jobs: int,
-    emit: Callable[[str], None],
-    tw: _TelemetryWriter,
 ) -> None:
     """The supervised worker pool."""
     ctx = _mp_context()
     result_q = ctx.Queue()
     fault_dict = worker_faults.as_dict() if worker_faults else None
     timeout_ns = from_sec(point_timeout_s)
+    registry = run.registry
 
     workers: list[_WorkerHandle] = []
     next_worker_id = 0
@@ -1204,9 +793,7 @@ def _run_supervised(
     def spawn_worker() -> _WorkerHandle:
         nonlocal next_worker_id
         next_worker_id += 1
-        handle = _WorkerHandle(
-            ctx, next_worker_id, spec.kind, result_q, fault_dict
-        )
+        handle = _WorkerHandle(ctx, next_worker_id, kind, result_q, fault_dict)
         registry.counter(fleetstats.WORKERS_SPAWNED).incr()
         workers.append(handle)
         return handle
@@ -1217,15 +804,9 @@ def _run_supervised(
         ).record(handle.lifetime_ns())
         workers.remove(handle)
 
-    def attempt_failed(point: FleetPoint, attempt: int, error: str) -> None:
-        if _record_outcome(
-            point, attempt, error, retry, journal, failures, registry, emit,
-            tw,
-        ):
-            ready_at = time.monotonic_ns() + int(
-                retry.backoff_for(attempt) * 1_000_000_000
-            )
-            delayed.append((ready_at, point, attempt + 1))
+    def requeue(point: FleetPoint, attempt: int) -> None:
+        ready_at = time.monotonic_ns() + from_sec(run.retry.backoff_for(attempt))
+        delayed.append((ready_at, point, attempt + 1))
 
     def outstanding() -> int:
         busy = sum(1 for w in workers if w.current is not None)
@@ -1253,8 +834,7 @@ def _run_supervised(
                 if worker.current is None:
                     point, attempt = ready.popleft()
                     worker.assign(point, attempt)
-                    registry.counter(fleetstats.POINTS_DISPATCHED).incr()
-                    tw.point_started(point, attempt, worker=worker.worker_id)
+                    run.dispatched(point, attempt, worker=worker.worker_id)
             # Drain results.
             try:
                 kind_msg = result_q.get(timeout=0.05)
@@ -1269,29 +849,14 @@ def _run_supervised(
                     point, attempt, started = worker.current
                     if point.key == key:
                         worker.current = None
-                        wall_ms = to_ms(time.monotonic_ns() - started)
-                        tw.point_finished(
-                            point,
-                            attempt,
-                            worker.worker_id,
-                            "ok" if tag == "done" else "error",
-                            wall_ms,
-                            payload if tag == "done" else None,
-                        )
                         if tag == "done":
-                            journal.record_ok(point, attempt, payload)
-                            results[point.key] = {
-                                "key": point.key,
-                                "status": "ok",
-                                "seed": point.seed,
-                                "attempts": attempt,
-                                "result": payload,
-                            }
-                            registry.counter(
-                                fleetstats.POINTS_COMPLETED
-                            ).incr()
-                        else:
-                            attempt_failed(point, attempt, payload)
+                            run.succeeded(
+                                point, attempt, worker_id, started, payload
+                            )
+                        elif run.failed(
+                            point, attempt, worker_id, started, payload
+                        ):
+                            requeue(point, attempt)
                 try:
                     kind_msg = result_q.get_nowait()
                 except Exception:
@@ -1303,19 +868,14 @@ def _run_supervised(
                         point, attempt, started = worker.current
                         worker.current = None
                         registry.counter(fleetstats.WORKERS_CRASHED).incr()
-                        tw.point_finished(
-                            point,
-                            attempt,
-                            worker.worker_id,
-                            "error",
-                            to_ms(time.monotonic_ns() - started),
-                        )
-                        attempt_failed(
-                            point,
-                            attempt,
+                        error = (
                             f"worker {worker.worker_id} died "
-                            f"(exitcode {worker.proc.exitcode})",
+                            f"(exitcode {worker.proc.exitcode})"
                         )
+                        if run.failed(
+                            point, attempt, worker.worker_id, started, error
+                        ):
+                            requeue(point, attempt)
                     retire_worker(worker)
                     continue
                 if worker.current is not None:
@@ -1326,7 +886,7 @@ def _run_supervised(
                         worker.current = None
                         registry.counter(fleetstats.WORKERS_KILLED).incr()
                         registry.counter(fleetstats.POINTS_TIMED_OUT).incr()
-                        tw.emit(
+                        run.tw.emit(
                             obs_telemetry.EVENT_POINT_KILLED,
                             point=point.key,
                             seed=point.seed,
@@ -1334,11 +894,12 @@ def _run_supervised(
                             worker=worker.worker_id,
                             timeout_s=point_timeout_s,
                         )
-                        attempt_failed(
+                        if run.retry_or_fail(
                             point,
                             attempt,
                             f"hung: no result within {point_timeout_s:.1f}s",
-                        )
+                        ):
+                            requeue(point, attempt)
                         retire_worker(worker)
     finally:
         for worker in list(workers):

@@ -5,11 +5,13 @@ the VALIDATE benchmark can report agreement statistics the way the paper
 reports measurements.  The detailed model costs one event per token hop
 while traffic is pending; the lazy model costs ~3 events per frame -- this
 module also quantifies that speedup, which is what makes the 117-minute
-Test Case B runs tractable.
+Test Case B runs tractable.  The end of the module is the ``validation``
+fleet campaign kind: the same comparison over a seed population.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.ring.detailed import DetailedTokenRing
@@ -117,3 +119,71 @@ def validate(seed: int = 1, n_frames: int = 60) -> ValidationResult:
         lazy_events_estimate=3 * len(lazy),
         detailed_token_hops=hops or 0,
     )
+
+
+# ----------------------------------------------------------------------
+# the "validation" fleet campaign kind (see repro.experiments.fleet)
+# ----------------------------------------------------------------------
+def validation_fleet_spec(seeds: list[int] | range, n_frames: int = 60):
+    """Lazy-vs-detailed ring agreement over a seed population."""
+    from repro.experiments.fleet import FleetPoint, FleetSpec
+
+    seeds = list(seeds)
+    task_hash = hashlib.sha256(
+        f"validation\0{n_frames}".encode()
+    ).hexdigest()[:12]
+    points = [
+        FleetPoint(
+            task_hash=task_hash,
+            seed=seed,
+            params={"seed": seed, "n_frames": n_frames},
+            label=f"validation seed {seed} ({n_frames} frames)",
+            replay=(
+                "python -c \"from repro.experiments.validation import "
+                f"validate; print(validate({seed}, {n_frames}))\""
+            ),
+        )
+        for seed in seeds
+    ]
+    return FleetSpec(
+        kind="validation",
+        points=points,
+        meta={"seeds": seeds, "n_frames": n_frames},
+    )
+
+
+def run_point(params: dict) -> dict:
+    """One fleet point: both ring models on one seed, as a JSON-safe dict."""
+    result = validate(params["seed"], params["n_frames"])
+    return {"seed": params["seed"], **result.as_dict()}
+
+
+def render_fleet(spec, results: dict[str, dict]) -> str:
+    """The merged agreement table, one row per seed in spec order."""
+    from repro.experiments.reporting import format_table
+
+    rows = []
+    agree = total = 0
+    for point in spec.points:
+        record = results.get(point.key)
+        if record is None:
+            continue
+        r = record["result"]
+        total += 1
+        agree += 1 if r["agrees"] else 0
+        rows.append(
+            [
+                str(r["seed"]),
+                str(r["frames"]),
+                str(r["max_delivery_skew_ns"]),
+                f"{r['mean_delivery_skew_ns']:.1f}",
+                str(r["detailed_token_hops"]),
+                "agree" if r["agrees"] else "DIVERGED",
+            ]
+        )
+    table = format_table(
+        "Fleet model validation: lazy vs hop-level token ring",
+        ["seed", "frames", "max skew(ns)", "mean skew(ns)", "token hops", "verdict"],
+        rows,
+    )
+    return table + f"\n\nagreement: {agree}/{total} seeds"

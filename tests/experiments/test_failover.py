@@ -16,15 +16,11 @@ from repro.experiments.failover import (
     SERVERS,
     build_churn,
     build_crash_plan,
+    failover_fleet_spec,
     run_failover_campaign,
     run_failover_one,
 )
-from repro.experiments.fleet import (
-    Journal,
-    failover_fleet_spec,
-    journal_path,
-    run_fleet,
-)
+from repro.experiments.fleet import Journal, journal_path, run_fleet
 from repro.obs.controlstats import ControlPlaneMetrics
 from repro.sim.units import MS, SEC
 

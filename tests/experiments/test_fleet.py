@@ -5,25 +5,33 @@ crash, hang, and SIGKILL real worker processes live in
 ``test_fleet_procs.py`` behind the ``fleet`` marker.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.experiments import chaos, fleet
-from repro.experiments.chaos import ChaosPointError, build_plan, run_one
+from repro.experiments import chaos, validation
+from repro.experiments.ablations import ablation_fleet_spec
+from repro.experiments.chaos import (
+    ChaosPointError,
+    build_plan,
+    chaos_fleet_spec,
+    run_one,
+)
+from repro.experiments.failover import failover_fleet_spec
 from repro.experiments.fleet import (
+    KIND_MODULES,
     FleetInterrupted,
     FleetPoint,
     FleetSpec,
     Journal,
     RetryPolicy,
-    ablation_fleet_spec,
-    chaos_fleet_spec,
     fleet_status,
     journal_path,
+    kind_module,
     run_fleet,
-    validation_fleet_spec,
 )
+from repro.experiments.validation import validation_fleet_spec
 from repro.faults.workers import WorkerFaultSpec
 from repro.obs import fleet_counts, fleet_summary, fleetstats
 from repro.sim.units import SEC
@@ -64,9 +72,9 @@ def test_spec_kinds_have_distinct_campaigns():
 
 def test_duplicate_point_keys_rejected():
     point = FleetPoint(
-        kind="validation", key="k:1", task_hash="k", seed=1,
-        params={}, label="x", replay="x",
+        task_hash="k", seed=1, params={}, label="x", replay="x",
     )
+    assert point.key == "k:1"
     with pytest.raises(ValueError, match="duplicate"):
         FleetSpec(kind="validation", points=[point, point])
 
@@ -74,6 +82,92 @@ def test_duplicate_point_keys_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown fleet kind"):
         FleetSpec(kind="voyage", points=[])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chaos_fleet_spec([], duration_ns=1 * SEC),
+        lambda: ablation_fleet_spec(1 * SEC, seeds=[]),
+        lambda: validation_fleet_spec([]),
+        lambda: failover_fleet_spec([], duration_ns=1 * SEC),
+    ],
+    ids=["chaos", "ablation", "validation", "failover"],
+)
+def test_empty_campaign_rejected(build):
+    with pytest.raises(ValueError, match="campaign has no points"):
+        build()
+
+
+def test_every_kind_module_defines_the_two_hooks():
+    assert set(KIND_MODULES) == {"chaos", "ablation", "validation", "failover"}
+    for kind in KIND_MODULES:
+        module = kind_module(kind)
+        assert callable(module.run_point), kind
+        assert callable(module.render_fleet), kind
+
+
+# ----------------------------------------------------------------------
+# every kind's merged output, pinned
+# ----------------------------------------------------------------------
+#: kind -> (small spec, sha256 of its rendered report, campaign id, point
+#: keys).  Recorded while the builders, point runners and renderers still
+#: lived in fleet.py, so moving a kind into its experiment module (or
+#: deriving ``FleetPoint.key``) cannot change a byte unnoticed.
+KIND_PINS = {
+    "ablation": (
+        lambda: ablation_fleet_spec(1 * SEC),
+        "88556377e766095b2a9332e4be38cd7ad581555fc0f1cd0f68356806f78179be",
+        "43e666c00857",
+        [
+            "cfd3486060c7:1",
+            "3686467dee89:1",
+            "12c85592978f:1",
+            "085c58ce993c:1",
+            "6e692aa39849:1",
+        ],
+    ),
+    "validation": (
+        lambda: validation_fleet_spec([1, 2], n_frames=12),
+        "25ee215d452d5773a92b47296ef1f1c8eda49f4553d23741e7e1cb68debc4a52",
+        "079fa06215d1",
+        [
+            "12a464a17b97:1",
+            "12a464a17b97:2",
+        ],
+    ),
+    "failover": (
+        lambda: failover_fleet_spec([1], duration_ns=2 * SEC),
+        "057e825a720217b3fe42e8bdacdcaa719d191587ffecf3904d4777a76471f044",
+        "5229600c54c2",
+        [
+            "c68a11c70397.c1d8e05c0897.none:1",
+            "c68a11c70397.c1d8e05c0897.admission:1",
+            "c68a11c70397.c1d8e05c0897.failover:1",
+        ],
+    ),
+    "chaos": (
+        lambda: chaos_fleet_spec([1], duration_ns=1 * SEC, intensities=(1.0,)),
+        "a1f841f0a7e948bc582c6c185d2f9aa5d7dfddff07f80aa0f76b8672c22f3a7e",
+        "be2e393231b6",
+        [
+            "c1fdfe15c018.stock:1",
+            "c1fdfe15c018.ctmsp:1",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PINS))
+def test_kind_output_is_pinned(kind, tmp_path):
+    build, render_sha256, campaign_id, keys = KIND_PINS[kind]
+    spec = build()
+    assert spec.kind == kind
+    assert spec.campaign_id() == campaign_id
+    assert [p.key for p in spec.points] == keys
+    result = run_fleet(spec, jobs=1, state_dir=tmp_path)
+    assert result.ok()
+    assert hashlib.sha256(result.render().encode()).hexdigest() == render_sha256
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +370,7 @@ def test_interrupt_flushes_journal_and_carries_resume_hint(
     tmp_path, monkeypatch
 ):
     spec = small_validation_spec()
-    real_runner = fleet._POINT_RUNNERS["validation"]
+    real_runner = validation.run_point
     calls = []
 
     def interrupting(params):
@@ -285,7 +379,7 @@ def test_interrupt_flushes_journal_and_carries_resume_hint(
             raise KeyboardInterrupt
         return real_runner(params)
 
-    monkeypatch.setitem(fleet._POINT_RUNNERS, "validation", interrupting)
+    monkeypatch.setattr(validation, "run_point", interrupting)
     with pytest.raises(FleetInterrupted) as excinfo:
         run_fleet(
             spec, jobs=1, state_dir=tmp_path, resume_hint="repro ... --resume"
@@ -298,7 +392,7 @@ def test_interrupt_flushes_journal_and_carries_resume_hint(
     _header, records = Journal.load(intr.journal)
     assert len(records) == 1
     # ...and a resumed run finishes without redoing it.
-    monkeypatch.setitem(fleet._POINT_RUNNERS, "validation", real_runner)
+    monkeypatch.setattr(validation, "run_point", real_runner)
     resumed = run_fleet(
         small_validation_spec(), jobs=1, state_dir=tmp_path, resume=True
     )

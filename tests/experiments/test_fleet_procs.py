@@ -16,13 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.fleet import (
-    Journal,
-    RetryPolicy,
-    chaos_fleet_spec,
-    journal_path,
-    run_fleet,
-)
+from repro.experiments.chaos import chaos_fleet_spec
+from repro.experiments.fleet import Journal, RetryPolicy, journal_path, run_fleet
 from repro.faults.workers import WorkerFaultSpec
 from repro.obs import fleet_counts, fleetstats
 from repro.sim.units import SEC
@@ -238,7 +233,7 @@ def test_failover_campaign_parallel_matches_serial(tmp_path):
     # The acceptance property for the control-plane scenario: the failover
     # fleet renders byte-identically whether its points ran serially or
     # sharded over the worker pool.
-    from repro.experiments.fleet import failover_fleet_spec
+    from repro.experiments.failover import failover_fleet_spec
 
     fspec = failover_fleet_spec([1, 2], duration_ns=2 * SEC)
     serial = run_fleet(fspec, jobs=1, state_dir=tmp_path / "ser")

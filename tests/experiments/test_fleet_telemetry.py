@@ -16,8 +16,8 @@ from repro.experiments.fleet import (
     fleet_watch,
     journal_path,
     run_fleet,
-    validation_fleet_spec,
 )
+from repro.experiments.validation import validation_fleet_spec
 from repro.obs import telemetry
 
 

@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.experiments.failover import run_failover_campaign
-from repro.experiments.fleet import chaos_fleet_spec, run_fleet
+from repro.experiments.chaos import chaos_fleet_spec
+from repro.experiments.fleet import run_fleet
 from repro.sim.units import SEC
 
 FAILOVER_8S_SEED_1 = (

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.fleet import chaos_fleet_spec, run_fleet, validation_fleet_spec
+from repro.experiments.chaos import chaos_fleet_spec
+from repro.experiments.fleet import run_fleet
 from repro.experiments.rollup import (
     CampaignData,
     RollupReport,
@@ -22,6 +23,7 @@ from repro.experiments.rollup import (
     survival_surface,
     violation_counts,
 )
+from repro.experiments.validation import validation_fleet_spec
 from repro.sim.units import SEC
 
 

@@ -55,6 +55,23 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ablate", "--jobs", "1", "--seeds", "0"],
+        ["chaos", "--jobs", "1", "--seeds", "0"],
+        ["chaos", "--scenario", "failover", "--jobs", "1", "--seeds", "-2"],
+    ],
+    ids=["ablate", "chaos", "chaos-failover"],
+)
+def test_seeds_below_one_is_a_usage_error(argv, capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--state-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "argument --seeds: must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # rejected before any journal
+
+
 # ----------------------------------------------------------------------
 # repro lint
 # ----------------------------------------------------------------------

@@ -9,7 +9,10 @@ it from growing back:
   can lint a tree whose simulator modules do not even parse;
 * the event kernel (``repro.sim``) loads nothing above itself;
 * no simulator module loads the lint engine;
-* a serial campaign (``run_fleet(jobs=1)``) never loads ``multiprocessing``.
+* a serial campaign (``run_fleet(jobs=1)``) never loads ``multiprocessing``;
+* the fleet supervisor and the journal rollup load no campaign kind's
+  experiment module, and the chaos and failover experiments load no fleet
+  code until a fleet spec is built.
 """
 
 import json
@@ -97,10 +100,29 @@ def test_importing_a_facade_loads_no_other_module(package):
 def test_serial_campaign_never_loads_multiprocessing(tmp_path):
     script = (
         "import sys\n"
-        "from repro.experiments.fleet import chaos_fleet_spec, run_fleet\n"
+        "from repro.experiments.chaos import chaos_fleet_spec\n"
+        "from repro.experiments.fleet import run_fleet\n"
         "from repro.sim.units import SEC\n"
         "spec = chaos_fleet_spec([1], duration_ns=SEC // 10, intensities=(1.0,))\n"
         f"assert run_fleet(spec, jobs=1, state_dir={str(tmp_path)!r}).ok()\n"
         "print('multiprocessing' in sys.modules)\n"
     )
     assert run_fresh(script).strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.experiments.fleet", "repro.experiments.rollup"]
+)
+def test_supervisor_loads_no_campaign_kind(module):
+    from repro.experiments.fleet import KIND_MODULES
+
+    loaded = loaded_after(module)[module]
+    assert set(loaded) & set(KIND_MODULES.values()) == set()
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.experiments.chaos", "repro.experiments.failover"]
+)
+def test_experiment_loads_no_fleet_code(module):
+    loaded = loaded_after(module)[module]
+    assert "repro.experiments.fleet" not in loaded
