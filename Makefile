@@ -2,25 +2,21 @@ PYTHON ?= python
 
 export PYTHONPATH := src
 
-.PHONY: test lint lint-v2 chaos chaos-par bench bench-check bench-compare bench-micro bench-fleet bench-lint examples trace-demo
+.PHONY: test lint chaos chaos-par bench bench-check bench-compare bench-micro bench-fleet bench-lint examples trace-demo
 
 # Static analysis first: a determinism/layering violation fails fast,
-# before the (slower) simulation suites run.  `make lint-v2` is a good
-# pre-push check: the summary cache makes a clean re-run near-instant.
-test: lint lint-v2
+# before the (slower) simulation suites run.
+test: lint
 	$(PYTHON) -m pytest -q
 
 # ctms-lint over the library sources (rules + suppression syntax are
-# documented in docs/ANALYSIS.md).  The committed baseline is empty for
-# src/ -- new findings fail the build.
+# documented in docs/ANALYSIS.md): per-file rules plus the whole-program
+# pass -- cross-module determinism inference (CTMS111/112), integer-ns
+# unit dataflow (CTMS211/212), unused-suppression audit (CTMS001).  The
+# committed baseline is empty for src/ -- new findings fail the build.
+# Incremental via .ctms-lint-cache.json, so a clean re-run is near-instant.
 lint:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json
-
-# Whole-program pass: cross-module determinism inference (CTMS111/112),
-# integer-ns unit dataflow (CTMS211/212), unused-suppression audit
-# (CTMS001).  Incremental via .ctms-lint-cache.json.
-lint-v2:
-	$(PYTHON) -m repro lint src/repro --v2 --baseline lint-baseline.json
 
 # The chaos smoke campaigns on their own: fault survival, then the
 # control-plane failover scenario.  Both are also part of the default

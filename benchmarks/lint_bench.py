@@ -1,6 +1,6 @@
 """Lint engine benchmark: cold vs warm-cache wall-clock over src/.
 
-Runs the whole-program v2 analysis (``repro lint --v2``) twice against a
+Runs the whole-program lint engine (``repro lint``) twice against a
 scratch cache -- once from nothing, once with every module summary
 cached -- and writes ``BENCH_lint.json`` at the repo root.  The warm run
 re-parses nothing; it only re-links the project graph and re-runs the

@@ -31,8 +31,6 @@ _EXPORTS = {
     "iter_python_files": "engine",
     "lint_source": "engine",
     "load_baseline": "baseline",
-    "render_sarif": "sarif",
-    "run_lint": "engine",
     "run_lint_v2": "v2",
     "summarize_module": "graph",
     "write_baseline": "baseline",

@@ -29,17 +29,26 @@ class BaselineResult:
 
 
 def load_baseline(path: str | Path) -> dict[str, dict[str, int]]:
-    """Read a baseline file; a missing file is an empty baseline."""
+    """Read a baseline file; a missing file is an empty baseline.
+
+    Anything but an object of file -> object of rule -> int count is a
+    ``ValueError`` (``repro lint`` turns it into a usage error, exit 2).
+    """
     p = Path(path)
     if not p.exists():
         return {}
     data = json.loads(p.read_text())
     if not isinstance(data, dict):
         raise ValueError(f"baseline {path} must be a JSON object")
-    return {
-        str(file): {str(rule): int(count) for rule, count in rules.items()}
-        for file, rules in data.items()
-    }
+    for file, rules in data.items():
+        if not isinstance(rules, dict) or not all(
+            isinstance(count, int) and not isinstance(count, bool)
+            for count in rules.values()
+        ):
+            raise ValueError(
+                f"baseline entry {file!r} must be an object of rule -> int"
+            )
+    return data
 
 
 def write_baseline(findings: list[Finding], path: str | Path) -> dict:

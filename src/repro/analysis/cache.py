@@ -5,7 +5,7 @@ path to its source's SHA-256 and the serialized :class:`ModuleSummary`.
 On the next run a file whose hash is unchanged skips parsing entirely --
 its summary (including per-file findings) is deserialized instead, and
 only the whole-program phases (taint fixed-point, cross-module units,
-CTMS001) re-run over summaries.  That makes ``repro lint --v2`` on an
+CTMS001) re-run over summaries.  That makes ``repro lint`` on an
 unchanged tree near-instant and bounds a one-file edit's cost to that
 file plus the cheap link.
 

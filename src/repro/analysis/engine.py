@@ -1,8 +1,10 @@
-"""The ctms-lint engine: walk files, run checkers, honour suppressions.
+"""The per-file core of ctms-lint: run the checkers, honour suppressions.
 
-Orchestration only -- the rules live in :mod:`repro.analysis.checkers`
+One module at a time -- the rules live in :mod:`repro.analysis.checkers`
 (AST determinism/units pass) and :mod:`repro.analysis.layering` (import
-rules), the debt ledger in :mod:`repro.analysis.baseline`.
+rules), the debt ledger in :mod:`repro.analysis.baseline`, and the
+whole-program driver that calls into this module in
+:mod:`repro.analysis.v2`.
 
 Inline suppressions: append ``# ctms-lint: disable=CTMS201`` (comma lists
 and ``disable=all`` accepted) to the offending line.  For multi-line
@@ -20,7 +22,7 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import BaselineResult, apply_baseline
+from repro.analysis.baseline import BaselineResult
 from repro.analysis.checkers import DeterminismVisitor
 from repro.analysis.findings import Finding
 from repro.analysis.layering import check_layering
@@ -83,9 +85,9 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     parse_errors: list[str] = field(default_factory=list)
     baseline: BaselineResult = field(default_factory=BaselineResult)
-    #: v2 runs only: files actually re-parsed (cache misses) vs served from
-    #: the incremental cache.  ``None`` on v1 runs (no cache in play).
-    reparsed: list[str] | None = None
+    #: Files actually re-parsed (cache misses) vs served from the
+    #: incremental cache.
+    reparsed: list[str] = field(default_factory=list)
     cache_hits: int = 0
 
     @property
@@ -113,12 +115,10 @@ class LintReport:
         for file, rule in self.baseline.stale:
             lines.append(f"stale baseline entry: {file} {rule} (delete it)")
         verdict = "clean" if self.ok() else f"{len(self.new)} new finding(s)"
-        summary = f"ctms-lint: {self.files_scanned} file(s) scanned, {verdict}"
-        if self.reparsed is not None:
-            summary += (
-                f" ({self.cache_hits} from cache, {len(self.reparsed)} re-analyzed)"
-            )
-        lines.append(summary)
+        lines.append(
+            f"ctms-lint: {self.files_scanned} file(s) scanned, {verdict}"
+            f" ({self.cache_hits} from cache, {len(self.reparsed)} re-analyzed)"
+        )
         return "\n".join(lines)
 
     def render_json(self) -> str:
@@ -129,12 +129,8 @@ class LintReport:
             "stale_baseline": [list(entry) for entry in self.baseline.stale],
             "parse_errors": self.parse_errors,
             "ok": self.ok(),
+            "cache": {"hits": self.cache_hits, "reparsed": self.reparsed},
         }
-        if self.reparsed is not None:
-            payload["cache"] = {
-                "hits": self.cache_hits,
-                "reparsed": self.reparsed,
-            }
         return json.dumps(payload, indent=2)
 
 
@@ -205,26 +201,6 @@ def iter_python_files(paths: list[str | Path]) -> list[Path]:
         elif p.suffix == ".py":
             out.add(p)
     return sorted(out)
-
-
-def run_lint(
-    paths: list[str | Path],
-    baseline: dict[str, dict[str, int]] | None = None,
-) -> LintReport:
-    """Lint every python file under ``paths`` against an optional baseline."""
-    report = LintReport()
-    findings: list[Finding] = []
-    for file in iter_python_files(paths):
-        report.files_scanned += 1
-        display = _display_path(file)
-        try:
-            source = file.read_text(encoding="utf-8")
-            findings.extend(lint_source(source, display))
-        except (OSError, UnicodeDecodeError, SyntaxError):
-            report.parse_errors.append(display)
-    report.findings = findings
-    report.baseline = apply_baseline(findings, baseline or {})
-    return report
 
 
 def _display_path(file: Path) -> str:

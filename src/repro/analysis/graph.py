@@ -556,25 +556,6 @@ class ProjectGraph:
                     if callee is not None:
                         yield caller, callee, record.line
 
-    def importers_of(self, target: ModuleSummary) -> list[ModuleSummary]:
-        """Modules that import ``target`` (the reverse dependency step the
-        dirty frontier is built from)."""
-        out = []
-        for module in self.modules.values():
-            if module.path == target.path:
-                continue
-            names = set(module.imports.values()) | {
-                m for m, _sym in module.symbol_imports.values()
-            } | {
-                f"{m}.{sym}" for m, sym in module.symbol_imports.values()
-            }
-            if any(
-                self.resolve_module(n) is target
-                for n in names
-            ):
-                out.append(module)
-        return out
-
 
 __all__ = [
     "FunctionSummary",

@@ -1,20 +1,16 @@
-"""The whole-program (v2) ctms-lint engine.
+"""The ctms-lint driver: the whole-program (v2) engine behind ``repro lint``.
 
 One run:
 
 1. hash every file; unchanged files load their :class:`ModuleSummary`
    from the incremental cache, changed ones are re-parsed and
-   re-summarized (the per-file v1 rules and local unit dataflow run as
-   part of summarization);
+   re-summarized (the per-file rules of :mod:`repro.analysis.engine` and
+   the local unit dataflow run as part of summarization);
 2. link all summaries into a :class:`ProjectGraph`;
 3. run the whole-program phases over summaries only -- interprocedural
    taint (CTMS111/112) and cross-module unit checks (CTMS211/212);
 4. flag unused inline suppressions (CTMS001) against the *pre-
    suppression* finding set, then apply suppressions and the baseline.
-
-``changed_only`` narrows reporting to the dirty frontier: the files
-whose content changed plus every module that imports one of them (their
-findings are the only ones a content change can move).
 """
 
 from __future__ import annotations
@@ -78,32 +74,18 @@ def check_unused_suppressions(
     return out
 
 
-def dirty_frontier(
-    graph: ProjectGraph, reparsed: list[str]
-) -> set[str]:
-    """Changed files plus every module importing one of them."""
-    frontier = set(reparsed)
-    for path in reparsed:
-        module = graph.modules.get(path)
-        if module is None:
-            continue
-        frontier.update(m.path for m in graph.importers_of(module))
-    return frontier
-
-
 def run_lint_v2(
     paths: list[str | Path],
     baseline: dict[str, dict[str, int]] | None = None,
     *,
     cache_path: str | Path | None = DEFAULT_CACHE_PATH,
-    changed_only: bool = False,
 ) -> LintReport:
     """Whole-program lint with the incremental cache.
 
     ``cache_path=None`` disables caching (every file re-analyzed); the
     results are identical either way -- the cache only skips work.
     """
-    report = LintReport(reparsed=[])
+    report = LintReport()
     cache = SummaryCache(cache_path) if cache_path is not None else None
 
     modules: list[ModuleSummary] = []
@@ -149,10 +131,6 @@ def run_lint_v2(
         findings.extend(apply_suppressions([finding], per_file))
     findings.sort()
 
-    if changed_only:
-        frontier = dirty_frontier(graph, report.reparsed)
-        findings = [f for f in findings if f.file in frontier]
-
     report.findings = findings
     report.baseline = apply_baseline(findings, baseline or {})
     if cache is not None:
@@ -164,6 +142,5 @@ def run_lint_v2(
 __all__ = [
     "DEFAULT_CACHE_PATH",
     "check_unused_suppressions",
-    "dirty_frontier",
     "run_lint_v2",
 ]

@@ -10,8 +10,7 @@
     python -m repro baseline
     python -m repro copies
     python -m repro quickstart
-    python -m repro lint src/repro [--json] [--baseline lint-baseline.json]
-    python -m repro lint src/repro --v2 [--changed] [--sarif out.sarif]
+    python -m repro lint src/repro [--json] [--baseline lint-baseline.json] [--no-cache]
     python -m repro chaos --jobs 4 --seeds 8 [--resume]
     python -m repro fleet status [--state-dir .fleet]
     python -m repro fleet watch [--interval 1.0] [--campaign SUBSTR]
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.sim.units import MINUTE, SEC
 
@@ -415,6 +415,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis.baseline import load_baseline, write_baseline
+    from repro.analysis.v2 import DEFAULT_CACHE_PATH, run_lint_v2
 
     try:
         baseline = load_baseline(args.baseline) if args.baseline else {}
@@ -422,19 +423,11 @@ def _cmd_lint(args) -> int:
         print(f"ctms-lint: cannot read baseline {args.baseline}: {exc}",
               file=sys.stderr)
         return 2
-    if args.v2 or args.changed:
-        from repro.analysis.v2 import run_lint_v2
-
-        report = run_lint_v2(
-            args.paths,
-            baseline,
-            cache_path=None if args.no_cache else args.cache,
-            changed_only=args.changed,
-        )
-    else:
-        from repro.analysis.engine import run_lint
-
-        report = run_lint(args.paths, baseline)
+    report = run_lint_v2(
+        args.paths,
+        baseline,
+        cache_path=None if args.no_cache else args.cache or DEFAULT_CACHE_PATH,
+    )
     if args.write_baseline:
         write_baseline(report.findings, args.write_baseline)
         print(
@@ -442,13 +435,6 @@ def _cmd_lint(args) -> int:
             f"{args.write_baseline}"
         )
         return 0
-    if args.sarif:
-        from pathlib import Path
-
-        from repro.analysis.sarif import render_sarif
-
-        Path(args.sarif).write_text(render_sarif(report))
-        print(f"ctms-lint: wrote SARIF to {args.sarif}", file=sys.stderr)
     print(report.render_json() if args.json else report.render_text())
     return 0 if report.ok() else 1
 
@@ -498,6 +484,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def lint_path(text: str) -> str:
+    """argparse type: an existing directory or ``.py`` file, else a usage
+    error (exit 2) -- a mistyped path must not pass the gate as clean."""
+    path = Path(text)
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"{text}: no such file or directory")
+    if not (path.is_dir() or path.suffix == ".py"):
+        raise argparse.ArgumentTypeError(f"{text}: not a directory or .py file")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -508,7 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_fn, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "lint":
-            p.add_argument("paths", nargs="+", help="files/directories to lint")
+            p.add_argument(
+                "paths",
+                nargs="+",
+                type=lint_path,
+                help="directories and .py files to lint",
+            )
             p.add_argument(
                 "--json",
                 action="store_true",
@@ -526,30 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="write current findings to PATH as a new baseline and exit 0",
             )
             p.add_argument(
-                "--v2",
-                action="store_true",
-                help="whole-program analysis: call-graph taint (CTMS111/112), "
-                "cross-module unit dataflow (CTMS211/212), unused "
-                "suppressions (CTMS001), incremental cache",
-            )
-            p.add_argument(
-                "--changed",
-                action="store_true",
-                help="(implies --v2) only report the dirty frontier: files "
-                "whose content changed since the cache plus their importers",
-            )
-            p.add_argument(
-                "--sarif",
+                "--cache",
                 default=None,
                 metavar="PATH",
-                help="also write findings as SARIF 2.1.0 to PATH",
-            )
-            p.add_argument(
-                "--cache",
-                default=".ctms-lint-cache.json",
-                metavar="PATH",
-                help="incremental-analysis cache file (default "
-                ".ctms-lint-cache.json)",
+                help="incremental-analysis cache file (default: "
+                "repro.analysis.v2.DEFAULT_CACHE_PATH)",
             )
             p.add_argument(
                 "--no-cache",

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis import apply_baseline, load_baseline, write_baseline
 from repro.analysis.findings import Finding
 
@@ -75,6 +77,22 @@ def test_load_missing_baseline_is_empty(tmp_path):
     assert load_baseline(tmp_path / "absent.json") == {}
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"f.py": 3}', '{"f.py": {"CTMS101": [1]}}'],
+    ids=["count-for-rules", "list-count"],
+)
+def test_malformed_entry_is_a_usage_error_not_a_traceback(tmp_path, capsys, text):
+    from repro.cli import main
+
+    path = tmp_path / "baseline.json"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match="'f.py' must be an object of rule -> int"):
+        load_baseline(path)
+    assert main(["lint", str(tmp_path), "--no-cache", "--baseline", str(path)]) == 2
+    assert "cannot read baseline" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # v2 rules ride the same ratchet
 # ----------------------------------------------------------------------
@@ -113,20 +131,20 @@ def test_write_baseline_then_fix_source_rejects_stale_entry(tmp_path, capsys):
         )
 
     # 1. Record the debt.
-    assert lint("--v2", "--write-baseline", str(baseline_path)) == 0
+    assert lint("--write-baseline", str(baseline_path)) == 0
     written = load_baseline(baseline_path)
     assert list(written.values()) == [{"CTMS103": 1}]
 
     # 2. Debt is allowed while it exists.
-    assert lint("--v2", "--baseline", str(baseline_path)) == 0
+    assert lint("--baseline", str(baseline_path)) == 0
 
     # 3. Fix the source: the allowance goes stale and the gate fails.
     mod.write_text("def stamp():\n    return 42\n")
-    assert lint("--v2", "--baseline", str(baseline_path)) == 1
+    assert lint("--baseline", str(baseline_path)) == 1
     out = capsys.readouterr().out
     assert "stale" in out
 
     # 4. Delete the stale entry (re-ratchet) and the gate is green again.
-    assert lint("--v2", "--write-baseline", str(baseline_path)) == 0
+    assert lint("--write-baseline", str(baseline_path)) == 0
     assert load_baseline(baseline_path) == {}
-    assert lint("--v2", "--baseline", str(baseline_path)) == 0
+    assert lint("--baseline", str(baseline_path)) == 0

@@ -2,8 +2,8 @@
 
 The graph is the substrate for every whole-program phase, so these
 tests pin the resolution rules directly: local calls, ``self.method``,
-module-qualified and ``from``-imported names, methods through
-inheritance, and the reverse import map the dirty frontier uses.
+module-qualified and ``from``-imported names, and methods through
+inheritance.
 """
 
 import textwrap
@@ -172,19 +172,6 @@ def test_constructor_call_resolves_to_init():
         )
     )
     assert edge_map(g)["repro.core.c:make"] == {"repro.core.c:Thing.__init__"}
-
-
-# ----------------------------------------------------------------------
-# reverse import map (the dirty frontier's substrate)
-# ----------------------------------------------------------------------
-def test_importers_of():
-    g = build(
-        ("repro/core/leaf.py", "def f(): ...\n"),
-        ("repro/core/user.py", "from repro.core.leaf import f\n"),
-        ("repro/core/other.py", "x = 1\n"),
-    )
-    leaf = g.modules["repro/core/leaf.py"]
-    assert {m.path for m in g.importers_of(leaf)} == {"repro/core/user.py"}
 
 
 def test_resolve_module_suffix_match_unique_ambiguous_and_memoized():

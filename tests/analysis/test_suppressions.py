@@ -3,14 +3,12 @@
 CTMS001 flags inline disables that no longer match a finding; the
 anchor regressions pin where findings land for decorated defs and
 multi-line calls -- the two shapes where a suppression comment and its
-finding historically drifted onto different lines.  SARIF output is
-checked here too since CI annotators are the main anchor consumer.
+finding historically drifted onto different lines.
 """
 
-import json
 import textwrap
 
-from repro.analysis import lint_source, render_sarif, run_lint_v2
+from repro.analysis import lint_source, run_lint_v2
 from repro.analysis.checkers import def_anchor_line
 from repro.analysis.graph import ProjectGraph, summarize_module
 from repro.analysis.taint import check_taint
@@ -158,29 +156,3 @@ def test_suppression_on_call_open_line_works_for_multi_line_call():
         "repro/core/m.py",
     )
     assert findings == []
-
-
-# ----------------------------------------------------------------------
-# SARIF
-# ----------------------------------------------------------------------
-def test_sarif_document_shape(tmp_path):
-    report = v2_over(
-        tmp_path,
-        """
-        import time
-
-
-        def stamp():
-            return time.time()
-        """,
-    )
-    doc = json.loads(render_sarif(report))
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"CTMS001", "CTMS103", "CTMS111", "CTMS211", "CTMS212"} <= rule_ids
-    results = run["results"]
-    assert [r["ruleId"] for r in results] == ["CTMS103"]
-    region = results[0]["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 6
-    assert region["startColumn"] >= 1

@@ -3,7 +3,7 @@
 The headline fixture is the acceptance scenario: module A calls B,
 B reads the wall clock, and the transitive taint is reported *at A's
 call site* -- then removing B's clock read clears the finding through
-the incremental engine with only the dirty frontier re-analyzed.
+the incremental engine with only the edited file re-analyzed.
 """
 
 import textwrap
@@ -179,12 +179,10 @@ def test_removing_clock_read_clears_finding_incrementally(tmp_path):
     ]
     assert a_hits, first.new
 
-    # Remove the wall-clock read; only b.py (and, via --changed semantics,
-    # its importers) is dirty.  The cached summaries cover the rest.
+    # Remove the wall-clock read; only b.py is re-analyzed, the cached
+    # summaries cover the rest, and the link clears a.py's finding too.
     files["b"].write_text(textwrap.dedent(B_CLEAN))
-    second = run_lint_v2(
-        [tmp_path / "repro"], cache_path=cache, changed_only=True
-    )
+    second = run_lint_v2([tmp_path / "repro"], cache_path=cache)
     assert [Path(p).name for p in second.reparsed] == ["b.py"]
     assert second.cache_hits == first.files_scanned - 1
     assert [f for f in second.new if f.rule == "CTMS111"] == []

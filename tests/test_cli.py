@@ -76,9 +76,16 @@ def test_seeds_below_one_is_a_usage_error(argv, capsys, tmp_path):
 # repro lint
 # ----------------------------------------------------------------------
 @pytest.fixture
-def dirty_tree(tmp_path):
+def lint_cwd(tmp_path, monkeypatch):
+    """Run lint from ``tmp_path``, so the default summary cache lands there."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.fixture
+def dirty_tree(lint_cwd):
     """A tiny repro-shaped tree with one violation of each rule class."""
-    pkg = tmp_path / "repro"
+    pkg = lint_cwd / "repro"
     (pkg / "hardware").mkdir(parents=True)
     (pkg / "core").mkdir()
     (pkg / "hardware" / "adapter.py").write_text(
@@ -91,7 +98,7 @@ def dirty_tree(tmp_path):
         "    sim.schedule(1.5, fn)\n"
         "    return random.random() + time.time()\n"
     )
-    return tmp_path
+    return lint_cwd
 
 
 def test_lint_requires_paths():
@@ -99,9 +106,24 @@ def test_lint_requires_paths():
         main(["lint"])
 
 
-def test_lint_clean_tree_exits_zero(tmp_path, capsys):
-    (tmp_path / "ok.py").write_text("X = 1\n")
-    assert main(["lint", str(tmp_path)]) == 0
+@pytest.mark.parametrize(
+    "name, why",
+    [("src/rpro", "no such file or directory"), ("README.md", "not a directory or .py file")],
+    ids=["missing", "not-python"],
+)
+def test_lint_bad_path_is_a_usage_error(lint_cwd, capsys, name, why):
+    # A typo or a non-Python file must not pass the gate as "0 file(s)
+    # scanned, clean".
+    (lint_cwd / "README.md").write_text("# not python\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", name])
+    assert excinfo.value.code == 2
+    assert f"{name}: {why}" in capsys.readouterr().err
+
+
+def test_lint_clean_tree_exits_zero(lint_cwd, capsys):
+    (lint_cwd / "ok.py").write_text("X = 1\n")
+    assert main(["lint", str(lint_cwd)]) == 0
     out = capsys.readouterr().out
     assert "1 file(s) scanned, clean" in out
 

@@ -26,8 +26,7 @@ EXPORTS = {
     "repro.analysis": {
         "Finding", "LintReport", "ModuleSummary", "ProjectGraph", "RULES",
         "Rule", "apply_baseline", "iter_python_files", "lint_source",
-        "load_baseline", "render_sarif", "run_lint", "run_lint_v2",
-        "summarize_module", "write_baseline",
+        "load_baseline", "run_lint_v2", "summarize_module", "write_baseline",
     },
     "repro.bench": {
         "WORKLOADS", "check_bench", "compare_bench", "load_bench", "run_bench",
