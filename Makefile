@@ -2,7 +2,7 @@ PYTHON ?= python
 
 export PYTHONPATH := src
 
-.PHONY: test lint chaos chaos-par bench bench-check bench-compare bench-micro bench-fleet bench-lint examples trace-demo
+.PHONY: test lint chaos chaos-par bench-micro bench-lint examples trace-demo
 
 # Static analysis first: a determinism/layering violation fails fast,
 # before the (slower) simulation suites run.
@@ -31,24 +31,9 @@ chaos:
 chaos-par:
 	$(PYTHON) -m repro chaos --jobs 4 --seeds 4 --seconds 2 --intensities 1.0
 
-# Perf trajectory: run the standard kernel/chaos/fleet workloads and
-# refresh the committed BENCH_kernel.json baseline.  `make bench-check`
-# reruns them and fails if throughput regressed past tolerance (the
-# default test run includes a fast --quick smoke of the same check).
-bench:
-	$(PYTHON) -m repro bench
-
-bench-check:
-	$(PYTHON) -m repro bench --check
-
-# Trajectory between two committed artifacts, e.g. the baseline at an old
-# ref vs the working tree:
-#   git show v0:BENCH_kernel.json > /tmp/old.json
-#   make bench-compare OLD=/tmp/old.json NEW=BENCH_kernel.json
-OLD ?= /tmp/old.json
-NEW ?= BENCH_kernel.json
-bench-compare:
-	$(PYTHON) -m repro bench --compare $(OLD) $(NEW)
+# Host performance is measured by perfbench (perfbench/README.md), end
+# to end and per layer:
+#   python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0|1
 
 # The paper reproductions under benchmarks/ (every figure and in-text
 # result; tables land in results/), each run exactly once under
@@ -56,10 +41,6 @@ bench-compare:
 # to end.  There are no micro-benchmarks.
 bench-micro:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Fleet scaling benchmark: wall-clock jobs=1 vs jobs=4 (writes BENCH_fleet.json).
-bench-fleet:
-	$(PYTHON) benchmarks/fleet_bench.py
 
 # Lint engine benchmark: cold vs warm-cache wall-clock over src/
 # (writes BENCH_lint.json).

@@ -33,14 +33,10 @@ _SUPPRESS_RE = re.compile(r"ctms-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 #: ``random`` machinery.
 _RNG_HOME_SUFFIX = "repro/sim/rng.py"
 
-#: ...and these are the sanctioned homes of process machinery and host
-#: clocks (CTMS103/CTMS303 off there): the campaign supervisor bridges
-#: the clock domains (docs/FLEET.md) and the bench harness *measures* the
-#: host clock on purpose (docs/OBSERVABILITY.md).
-_PROCESS_HOME_SUFFIXES = (
-    "repro/experiments/fleet.py",
-    "repro/bench/harness.py",
-)
+#: ...and the one sanctioned home of process machinery and host clocks
+#: (CTMS103/CTMS303 off there): the campaign supervisor bridges the clock
+#: domains (docs/FLEET.md).
+_PROCESS_HOME_SUFFIX = "repro/experiments/fleet.py"
 
 #: ...and the one sanctioned home of control-plane policy decisions
 #: (CTMS304 off there): admission, placement, shedding, and failover
@@ -139,7 +135,7 @@ def is_rng_home(path: str) -> bool:
 
 
 def is_process_home(path: str) -> bool:
-    return path.replace("\\", "/").endswith(_PROCESS_HOME_SUFFIXES)
+    return path.replace("\\", "/").endswith(_PROCESS_HOME_SUFFIX)
 
 
 def is_control_home(path: str) -> bool:

@@ -143,9 +143,8 @@ RULES: dict[str, Rule] = {
             severity=ERROR,
             summary="process machinery imported outside a sanctioned home",
             hint="multiprocessing/subprocess/threading/signal (and wall "
-            "clocks) belong only in repro/experiments/fleet.py and "
-            "repro/bench/harness.py -- keep every other module on the "
-            "simulated clock, single-process",
+            "clocks) belong only in repro/experiments/fleet.py -- keep "
+            "every other module on the simulated clock, single-process",
         ),
         Rule(
             id="CTMS304",
@@ -272,10 +271,8 @@ WALL_CLOCK_DATETIME_METHODS: frozenset[str] = frozenset({"now", "utcnow", "today
 
 #: Top-level modules that spawn/steer processes or threads.  CTMS303
 #: confines their import (and, via the same home-module exemption, wall
-#: clocks) to the sanctioned homes: ``repro/experiments/fleet.py`` (the
-#: campaign supervisor bridges the simulated clock domain and the host's)
-#: and ``repro/bench/harness.py`` (benchmarking measures the host clock
-#: by design).
+#: clocks) to the one sanctioned home, ``repro/experiments/fleet.py``: the
+#: campaign supervisor bridges the simulated clock domain and the host's.
 PROCESS_MACHINERY_MODULES: frozenset[str] = frozenset(
     {"multiprocessing", "concurrent", "subprocess", "threading", "signal"}
 )
@@ -307,7 +304,6 @@ OS_NONDETERMINISM_FUNCTIONS: frozenset[str] = frozenset(
 SANCTIONED_HOME_SUFFIXES: tuple[str, ...] = (
     "repro/sim/rng.py",
     "repro/experiments/fleet.py",
-    "repro/bench/harness.py",
 )
 
 #: Which per-file rule an inline suppression must name to also cleanse the

@@ -15,7 +15,6 @@
     python -m repro fleet status [--state-dir .fleet]
     python -m repro fleet watch [--interval 1.0] [--campaign SUBSTR]
     python -m repro fleet rollup [--json]
-    python -m repro bench [--check] [--quick] [--out BENCH_kernel.json]
 """
 
 from __future__ import annotations
@@ -305,59 +304,6 @@ def _cmd_fleet(args) -> int:
     return 2  # pragma: no cover - argparse restricts choices
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.harness import (
-        check_bench,
-        compare_bench,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        try:
-            old = load_bench(old_path)
-            new = load_bench(new_path)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot read artifact: {exc}", file=sys.stderr)
-            return 2
-        for line in compare_bench(old, new):
-            print(line)
-        return 0
-
-    payload = run_bench(quick=args.quick, repeats=args.repeats)
-    if args.check:
-        try:
-            baseline = load_bench(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"bench: cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        regressions = check_bench(payload, baseline, tolerance=args.tolerance)
-        for line in regressions:
-            print(f"bench: REGRESSION: {line}", file=sys.stderr)
-        verdict = "regressed" if regressions else "ok"
-        for name, workload in sorted(payload["workloads"].items()):
-            base = baseline.get("workloads", {}).get(name, {})
-            print(
-                f"{name:<16} {workload['events_per_sec']:>10} ev/s "
-                f"(baseline {base.get('events_per_sec', '?')}) "
-                f"{workload['wall_s']:.3f}s"
-            )
-        print(f"bench --check vs {args.baseline}: {verdict}")
-        return 1 if regressions else 0
-    write_bench(payload, args.out)
-    for name, workload in sorted(payload["workloads"].items()):
-        print(
-            f"{name:<16} {workload['events_per_sec']:>10} ev/s  "
-            f"{workload['packets_per_sec']:>8} pkt/s  "
-            f"{workload['wall_s']:.3f}s wall"
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from repro.experiments.tracing import run_traced, trace_stock_vs_ctmsp
     from repro.obs.export import write_chrome_trace
@@ -469,19 +415,29 @@ COMMANDS = {
     "quickstart": (_cmd_quickstart, "Minimal two-machine CTMS stream"),
     "chaos": (_cmd_chaos, "Chaos campaign: stock vs CTMSP under fault plans"),
     "fleet": (_cmd_fleet, "Fleet state: status / live watch / cross-journal rollup"),
-    "bench": (_cmd_bench, "Perf trajectory: standard workloads vs BENCH_kernel.json"),
     "trace": (_cmd_trace, "Export a Chrome-trace/Perfetto JSON of a traced run"),
     "metrics": (_cmd_metrics, "Per-layer metrics registry for one test case"),
     "lint": (_cmd_lint, "ctms-lint: determinism & layering static analysis"),
 }
 
 
+def _int_at_least(text: str, floor: int) -> int:
+    value = int(text)
+    if value < floor:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {floor}, got {value}"
+        )
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type: an int; a value below 1 is a usage error (exit 2)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an int; a value below 0 is a usage error (exit 2)."""
+    return _int_at_least(text, 0)
 
 
 def lint_path(text: str) -> str:
@@ -577,59 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="rollup: machine-readable aggregate",
             )
             continue
-        if name == "bench":
-            p.add_argument(
-                "--check",
-                action="store_true",
-                help="compare against the committed baseline; exit 1 on "
-                "regression",
-            )
-            p.add_argument(
-                "--compare",
-                nargs=2,
-                metavar=("OLD", "NEW"),
-                default=None,
-                help="print the trajectory between two bench artifacts "
-                "(per-workload events/sec and hotspot deltas); runs no "
-                "workloads",
-            )
-            p.add_argument(
-                "--baseline",
-                default="BENCH_kernel.json",
-                help="baseline artifact for --check (default BENCH_kernel.json)",
-            )
-            p.add_argument(
-                "--out",
-                default="BENCH_kernel.json",
-                help="artifact path to (re)write (default BENCH_kernel.json)",
-            )
-            p.add_argument(
-                "--tolerance",
-                type=float,
-                default=0.25,
-                help="--check fails when events/sec drops below this "
-                "fraction of baseline (default 0.25)",
-            )
-            p.add_argument(
-                "--quick",
-                action="store_true",
-                help="short workloads (the make-test smoke; noisier numbers)",
-            )
-            p.add_argument(
-                "--repeats",
-                type=int,
-                default=None,
-                help="samples per workload, best wall kept (default 3; "
-                "1 under --quick)",
-            )
-            continue
         p.add_argument("--seed", type=int, default=1)
         if name == "fig5-4":
-            p.add_argument("--minutes", type=int, default=6)
+            p.add_argument("--minutes", type=positive_int, default=6)
         elif name == "chaos":
-            p.add_argument("--seconds", type=int, default=8)
+            p.add_argument("--seconds", type=positive_int, default=8)
         else:
-            p.add_argument("--seconds", type=int, default=30)
+            p.add_argument("--seconds", type=positive_int, default=30)
         if name == "histograms":
             p.add_argument("case", choices=["a", "b"])
         if name == "trace":
@@ -675,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in {"chaos", "ablate"}:
             p.add_argument(
                 "--jobs",
-                type=int,
+                type=non_negative_int,
                 default=0,
                 help="fleet mode: worker processes (1 = serial fleet; "
                 "0 = legacy single-seed run)",

@@ -109,9 +109,8 @@ class Testbed:
         mac_utilization: float = calibration.MAC_TRAFFIC_UTILIZATION_LOW,
         insertions_per_day: float = 0.0,
         soft_errors_per_hour: float = 0.0,
-        profile: bool = False,
     ) -> None:
-        self.sim = Simulator(profile=profile)
+        self.sim = Simulator()
         #: Optional observability flight recorder (``repro.obs.flight``).
         #: Invariant monitors snapshot through it, duck-typed, when set.
         self.flight_recorder = None

@@ -15,8 +15,7 @@ to an untraced one -- the overhead-guard test pins this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.core.presentation import PresentationMachine
 from repro.core.session import CTMSSession
@@ -53,17 +52,15 @@ class TracedRun:
     receiver: Host
     session: CTMSSession
     presentation: PresentationMachine
-    profile_report: Optional[str] = field(default=None, repr=False)
 
 
 def run_traced(
     profile: str = "ctmsp",
     seed: int = 7,
     duration_ns: int = 2 * SEC,
-    sim_profile: bool = False,
 ) -> TracedRun:
     """Run one profile with tracing, metrics and a flight recorder on."""
-    bed = Testbed(seed=seed, profile=sim_profile)
+    bed = Testbed(seed=seed)
     recorder = SpanRecorder(bed.sim)
     metrics = MetricsRegistry()
     tracer = DataPathTracer(recorder, metrics)
@@ -94,7 +91,6 @@ def run_traced(
     bed.run(duration_ns)
 
     tracer.finalize(duration_ns, session=session, testbed=bed)
-    report = bed.sim.profile_report() if sim_profile else None
     return TracedRun(
         profile=profile,
         seed=seed,
@@ -108,7 +104,6 @@ def run_traced(
         receiver=rx,
         session=session,
         presentation=presentation,
-        profile_report=report,
     )
 
 

@@ -31,7 +31,6 @@ inner loops (see ``docs/KERNEL.md``).
 from __future__ import annotations
 
 import random
-import time
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -213,21 +212,6 @@ class Process(Event):
         target.add_callback(self._step)
 
 
-def _profile_key(fn: Callable) -> str:
-    """Attribute a dispatched callback to a process name where possible.
-
-    Bound methods of named objects (``Process._step`` of a driver process,
-    ``Event.succeed`` of a named event) report that name; everything else
-    falls back to the callable's qualname.
-    """
-    owner = getattr(fn, "__self__", None)
-    if owner is not None:
-        name = getattr(owner, "name", "")
-        if name:
-            return f"{type(owner).__name__}:{name}"
-    return getattr(fn, "__qualname__", repr(fn))
-
-
 class Simulator:
     """The event calendar.
 
@@ -254,14 +238,6 @@ class Simulator:
     ``record_trace=True`` appends a ``(time_ns, callable-qualname)`` tuple
     to :attr:`trace` for every executed calendar entry, giving tests a
     cheap fingerprint of the exact event order.
-
-    **Profiler.**  ``profile=True`` wraps every dispatched callback in a
-    host-CPU stopwatch and attributes the elapsed wall time to the owning
-    process name (or the callable's qualname), accumulated in
-    :attr:`profile_ns` / :attr:`profile_calls`.  This measures *host* time
-    spent simulating, never simulated time -- it cannot perturb the model
-    because the calendar and ``now`` are computed identically either way;
-    it only makes hot spots in the sim kernel's own execution visible.
     """
 
     #: Recognised tie-break policies.
@@ -272,7 +248,6 @@ class Simulator:
         tiebreak: str = "fifo",
         tiebreak_seed: int = 0,
         record_trace: bool = False,
-        profile: bool = False,
     ) -> None:
         if tiebreak not in self.TIEBREAKS:
             raise SimulationError(
@@ -282,11 +257,6 @@ class Simulator:
         self.tiebreak = tiebreak
         self.trace: list[tuple[int, str]] = []
         self._record_trace = record_trace
-        self._profile = profile
-        #: Host-CPU nanoseconds attributed to each dispatch key (profiler).
-        self.profile_ns: dict[str, int] = {}
-        #: Dispatch counts per key (profiler).
-        self.profile_calls: dict[str, int] = {}
         self._tiebreak_rng: Optional[random.Random] = (
             random.Random(tiebreak_seed) if tiebreak == "random" else None
         )
@@ -299,9 +269,10 @@ class Simulator:
         self._tombstones = 0
         self._running = False
         #: Calendar entries dispatched so far (cancelled entries excluded).
-        #: Campaign benchmarks divide this by wall time for their events/sec
-        #: figure.  Updated in bulk when :meth:`run` returns; mid-callback
-        #: readers (none exist today) would see the pre-run value.
+        #: Campaign points report it as their ``events`` and perfbench's
+        #: ``sim.ns_per_event`` divides host time by it.  Updated in bulk
+        #: when :meth:`run` returns; mid-callback readers (none exist
+        #: today) would see the pre-run value.
         self.stats_events = 0
 
     # ------------------------------------------------------------------
@@ -488,8 +459,8 @@ class Simulator:
         queue = self._queue
         dispatched = 0
         try:
-            if self._record_trace or self._profile:
-                self._run_instrumented(limit)
+            if self._record_trace:
+                self._run_traced(limit)
             else:
                 while queue and queue[0][0] <= limit:
                     entry = heappop(queue)
@@ -506,8 +477,8 @@ class Simulator:
             self.stats_events += dispatched
             self._running = False
 
-    def _run_instrumented(self, limit: int) -> None:
-        """The traced/profiled twin of the fast dispatch loop."""
+    def _run_traced(self, limit: int) -> None:
+        """The traced twin of the fast dispatch loop."""
         queue = self._queue
         while queue and queue[0][0] <= limit:
             entry = heappop(queue)
@@ -518,38 +489,10 @@ class Simulator:
             time_ns, fn, args = entry[0], entry[4], entry[5]
             self.now = time_ns
             self.stats_events += 1
-            if self._record_trace:
-                self.trace.append(
-                    (time_ns, getattr(fn, "__qualname__", repr(fn)))
-                )
-            if self._profile:
-                key = _profile_key(fn)
-                t0 = time.perf_counter_ns()  # ctms-lint: disable=CTMS103
-                fn(*args)
-                dt = time.perf_counter_ns() - t0  # ctms-lint: disable=CTMS103
-                self.profile_ns[key] = self.profile_ns.get(key, 0) + dt
-                self.profile_calls[key] = self.profile_calls.get(key, 0) + 1
-            else:
-                fn(*args)
-
-    def profile_report(self, top: Optional[int] = None) -> str:
-        """Aligned table of profiled dispatch keys, hottest first."""
-        if not self.profile_ns:
-            return "(no profile data; construct Simulator(profile=True))"
-        rows = sorted(
-            self.profile_ns.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        if top is not None:
-            rows = rows[:top]
-        width = max(len(k) for k, _v in rows)
-        total = sum(self.profile_ns.values())
-        lines = [f"{'dispatch key'.ljust(width)}  {'calls':>8}  {'ms':>9}  {'%':>5}"]
-        for key, ns in rows:
-            lines.append(
-                f"{key.ljust(width)}  {self.profile_calls[key]:>8}  "
-                f"{ns / 1e6:>9.3f}  {100 * ns / total:>5.1f}"
+            self.trace.append(
+                (time_ns, getattr(fn, "__qualname__", repr(fn)))
             )
-        return "\n".join(lines)
+            fn(*args)
 
     def peek(self) -> Optional[int]:
         """Time of the next non-cancelled entry, or None if the calendar is empty."""

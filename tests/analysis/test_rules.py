@@ -508,18 +508,17 @@ def test_telemetry_module_named_in_observe_only_map():
 
 
 # ----------------------------------------------------------------------
-# CTMS103/303 -- the bench harness is a sanctioned host-clock home
+# CTMS103/303 -- the fleet supervisor is the one host-clock home
 # ----------------------------------------------------------------------
-def test_bench_harness_is_a_sanctioned_clock_home():
+def test_fleet_is_the_only_sanctioned_clock_home():
     source = """
     import time
 
     def stopwatch():
         return time.perf_counter()
     """
-    assert rule_ids(source, path="src/repro/bench/harness.py") == []
-    # ...but only harness.py: the rest of the bench package stays clean.
-    assert rule_ids(source, path="src/repro/bench/__init__.py") == ["CTMS103"]
+    assert rule_ids(source, path="src/repro/experiments/fleet.py") == []
+    assert rule_ids(source, path="src/repro/bench/harness.py") == ["CTMS103"]
 
 
 # ----------------------------------------------------------------------

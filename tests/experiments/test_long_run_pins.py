@@ -1,10 +1,15 @@
-"""Longer-run pins for the stream-invariant path.
+"""Longer-run pins for the stream-invariant path and the event kernel.
 
 The failover golden is a 3 s run and the chaos smoke is short; longer runs
 see many more arrivals between failover-window changes, which is where an
 incremental worst-gap fold could drift from a full rescan.  These sha256
 digests were recorded before the monitor's worst-gap check became
 incremental, so any drift in a verdict, a count or an event total shows.
+
+The ``(events, packets)`` pins cover three grains of the same seeded
+input: one clean CTMSP stream, one chaos point, and a small serial fleet
+campaign.  The same seed must dispatch the same calendar, so a kernel
+change that drops, adds or reorders a calendar entry shows here.
 """
 
 import hashlib
@@ -12,9 +17,11 @@ import json
 
 import pytest
 
+from repro.core.session import CTMSSession
 from repro.experiments.failover import run_failover_campaign
-from repro.experiments.chaos import chaos_fleet_spec
+from repro.experiments.chaos import build_plan, chaos_fleet_spec, run_one
 from repro.experiments.fleet import run_fleet
+from repro.experiments.testbed import HostConfig, Testbed as _Testbed
 from repro.sim.units import SEC
 
 FAILOVER_8S_SEED_1 = (
@@ -64,3 +71,43 @@ def test_four_second_chaos_fleet_points_are_pinned(tmp_path):
         for point in spec.points
     }
     assert digests == CHAOS_4S_SEED_1
+
+
+def _clean_stream():
+    bed = _Testbed(seed=11)
+    tx = bed.add_host(HostConfig(name="transmitter"))
+    rx = bed.add_host(HostConfig(name="receiver"))
+    session = CTMSSession(tx.kernel, rx.kernel)
+    session.establish()
+    bed.run(4 * SEC)
+    return bed.sim.stats_events, session.sink_tracker.delivered
+
+
+def _chaos_point():
+    run = run_one("ctmsp", build_plan(11, 1.0, 4 * SEC), 11, 4 * SEC,
+                  intensity=1.0)
+    return run.events, run.delivered
+
+
+def _fleet_campaign(state_dir):
+    spec = chaos_fleet_spec([1, 2], duration_ns=2 * SEC, intensities=(1.0,))
+    fleet = run_fleet(spec, jobs=1, state_dir=state_dir)
+    assert fleet.ok()
+    results = [fleet.result_for(point.key) for point in spec.points]
+    return (
+        sum(r["events"] for r in results),
+        sum(r["delivered"] for r in results),
+    )
+
+
+@pytest.mark.parametrize(
+    ("workload", "expected"),
+    [
+        (lambda _dir: _clean_stream(), (11703, 332)),
+        (lambda _dir: _chaos_point(), (12604, 326)),
+        (_fleet_campaign, (24234, 657)),
+    ],
+    ids=["kernel", "chaos_point", "fleet_campaign"],
+)
+def test_event_and_packet_counts_are_pinned(workload, expected, tmp_path):
+    assert workload(tmp_path) == expected

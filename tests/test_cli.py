@@ -56,20 +56,36 @@ def test_unknown_command_rejected():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "flag", "floor"),
     [
-        ["ablate", "--jobs", "1", "--seeds", "0"],
-        ["chaos", "--jobs", "1", "--seeds", "0"],
-        ["chaos", "--scenario", "failover", "--jobs", "1", "--seeds", "-2"],
+        (["ablate", "--jobs", "1", "--seeds", "0"], "--seeds", 1),
+        (["chaos", "--jobs", "1", "--seeds", "0"], "--seeds", 1),
+        (["chaos", "--scenario", "failover", "--jobs", "1", "--seeds", "-2"],
+         "--seeds", 1),
+        (["fig5-2", "--seconds", "0"], "--seconds", 1),
+        (["ablate", "--seconds", "-1"], "--seconds", 1),
+        (["trace", "--seconds", "-1"], "--seconds", 1),
+        (["fig5-4", "--minutes", "0"], "--minutes", 1),
+        (["chaos", "--jobs", "-2", "--smoke"], "--jobs", 0),
+        (["ablate", "--jobs", "-1"], "--jobs", 0),
     ],
-    ids=["ablate", "chaos", "chaos-failover"],
+    ids=[
+        "ablate", "chaos", "chaos-failover", "fig5-2-seconds",
+        "ablate-seconds", "trace-seconds", "fig5-4-minutes", "chaos-jobs",
+        "ablate-jobs",
+    ],
 )
-def test_seeds_below_one_is_a_usage_error(argv, capsys, tmp_path):
+def test_seeds_below_one_is_a_usage_error(
+    argv, flag, floor, capsys, tmp_path, monkeypatch
+):
+    """A seed, duration or worker count below its floor exits 2 before
+    anything runs or is written (journal, trace file)."""
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
-        main(argv + ["--state-dir", str(tmp_path)])
+        main(argv)
     assert excinfo.value.code == 2
-    assert "argument --seeds: must be at least 1" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())  # rejected before any journal
+    assert f"argument {flag}: must be at least {floor}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------------

@@ -28,10 +28,6 @@ EXPORTS = {
         "Rule", "apply_baseline", "iter_python_files", "lint_source",
         "load_baseline", "run_lint_v2", "summarize_module", "write_baseline",
     },
-    "repro.bench": {
-        "WORKLOADS", "check_bench", "compare_bench", "load_bench", "run_bench",
-        "write_bench",
-    },
     "repro.core": {
         "BandwidthLedger", "CTMSPPacket", "CTMSP_HEADER_BYTES",
         "CTMSP_RING_PRIORITY", "CTMSSession", "ControlPlaneConfig",
