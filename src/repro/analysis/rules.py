@@ -206,9 +206,9 @@ OBSERVE_ONLY_FORBIDDEN: dict[str, frozenset[str]] = {
 
 #: CTMS302's per-*module* forbidden-import map, for observe-only modules
 #: living inside otherwise-unconstrained packages.  ``experiments/rollup``
-#: aggregates journals other campaigns already wrote; the moment it could
-#: import an actuator it could also re-run points, and "the rollup changed
-#: the numbers" becomes a possibility the reader has to rule out.
+#: loads journals other campaigns wrote and must not import an actuator
+#: (it could re-run points).  This covers its own imports only; the kind
+#: hooks it calls are held pure by ``test_rollup_only_reads_journals``.
 #: ``obs/telemetry`` is already covered by the ``obs`` package rule and is
 #: named here so the observe-only contract survives the module ever being
 #: moved out of that package.

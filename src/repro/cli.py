@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -247,13 +248,6 @@ def _run_fleet_cli(spec, args) -> int:
         )
         print(result.render())
         print(fleet_summary(result.registry), file=sys.stderr)
-        # Cross-journal delivered-quality rollup rides on stderr so fleet
-        # stdout stays byte-identical across jobs counts (golden-pinned).
-        from repro.experiments.rollup import load_campaigns, quality_summary_line
-
-        quality = quality_summary_line(load_campaigns(args.state_dir))
-        if quality:
-            print(f"fleet: {quality}", file=sys.stderr)
     except FleetInterrupted as intr:
         print(
             f"fleet: interrupted -- {intr.completed}/{intr.total} points "
@@ -440,6 +434,17 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def non_negative_float(text: str) -> float:
+    """argparse type: a finite float; a value below 0, ``nan`` or ``inf``
+    is a usage error (exit 2) instead of a traceback mid-campaign."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def lint_path(text: str) -> str:
     """argparse type: an existing directory or ``.py`` file, else a usage
     error (exit 2) -- a mistyped path must not pass the gate as clean."""
@@ -578,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--intensities",
-                type=float,
+                type=non_negative_float,
                 nargs="+",
                 help="intensity sweep values (default: 0.5 1.0 2.0)",
             )

@@ -216,3 +216,28 @@ def render_fleet(spec, results: dict[str, dict]) -> str:
         ["seed"] + TABLE_HEADERS,
         rows,
     )
+
+
+def rollup(results: list[dict]) -> dict:
+    """Per-variant totals across every journalled seed, name-ordered."""
+    rows: dict[str, dict] = {}
+    for r in results:
+        name = str(r.get("name", "?"))
+        row = rows.setdefault(
+            name, {"variant": name, "seeds": 0, "delivered": 0, "lost": 0}
+        )
+        row["seeds"] += 1
+        row["delivered"] += int(r.get("delivered", 0))
+        row["lost"] += int(r.get("lost", 0))
+    return {"ablations": [rows[name] for name in sorted(rows)]}
+
+
+def render_rollup(summary: dict) -> str:
+    """The per-variant totals table."""
+    from repro.experiments.reporting import format_table
+
+    return format_table(
+        "Ablation rollup (totals across seeds)",
+        ["configuration", "seeds", "delivered", "lost"],
+        [[str(value) for value in row.values()] for row in summary["ablations"]],
+    )

@@ -386,6 +386,23 @@ def run_point(params: dict) -> dict:
     return run.as_dict()
 
 
+def _cell(runs: list[dict]) -> dict:
+    """Totals of one (intensity, profile) cell, summed in ``runs`` order."""
+    return {
+        "runs": len(runs),
+        "established": sum(1 for r in runs if r.get("established")),
+        "survived": sum(
+            1 for r in runs if r.get("established") and not r.get("violated")
+        ),
+        "delivered": sum(int(r.get("delivered", 0)) for r in runs),
+        "lost": sum(int(r.get("lost_packets", 0)) for r in runs),
+        "mean_throughput_bytes_per_sec": sum(
+            float(r.get("throughput_bytes_per_sec", 0.0)) for r in runs
+        )
+        / len(runs),
+    }
+
+
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged survival report, in spec order."""
     from repro.experiments.reporting import format_table
@@ -415,30 +432,18 @@ def render_fleet(spec, results: dict[str, dict]) -> str:
             if not runs:
                 rows.append([profile, "0", "-", "-", "-", "-", "-"])
                 continue
-            survived = sum(
-                1
-                for r in runs
-                if r["established"] and not r["violated"]
-            )
-            established = sum(1 for r in runs if r["established"])
-            delivered = sum(r["delivered"] for r in runs)
-            lost = sum(r["lost_packets"] for r in runs)
-            mean_kbs = (
-                sum(r["throughput_bytes_per_sec"] for r in runs)
-                / len(runs)
-                / 1000
-            )
-            totals[profile][0] += survived
-            totals[profile][1] += len(runs)
+            cell = _cell(runs)
+            totals[profile][0] += cell["survived"]
+            totals[profile][1] += cell["runs"]
             rows.append(
                 [
                     profile,
-                    str(len(runs)),
-                    str(established),
-                    str(survived),
-                    str(delivered),
-                    str(lost),
-                    f"{mean_kbs:.1f}",
+                    str(cell["runs"]),
+                    str(cell["established"]),
+                    str(cell["survived"]),
+                    str(cell["delivered"]),
+                    str(cell["lost"]),
+                    f"{cell['mean_throughput_bytes_per_sec'] / 1000:.1f}",
                 ]
             )
         lines.append(
@@ -465,3 +470,131 @@ def render_fleet(spec, results: dict[str, dict]) -> str:
         )
     )
     return "\n".join(lines)
+
+
+def _profile_rank(profile: str) -> tuple[int, str]:
+    """Sort key: :data:`PROFILES` order (stock first), unknown names last."""
+    order = PROFILES.index(profile) if profile in PROFILES else len(PROFILES)
+    return order, profile
+
+
+def rollup(results: list[dict]) -> dict:
+    """Survival surface, violation counts and delivered quality across
+    every journalled chaos run (the Media-TCP-style judging metric:
+    which profile *delivers* under contention, totalled over campaigns).
+
+    ``results`` arrive in campaign-id, then point-key order; every sum
+    runs in that order.  Cells are intensity-ascending, then
+    :data:`PROFILES` order -- never completion order.
+    """
+    cells: dict[tuple[float, str], list[dict]] = {}
+    by_profile: dict[str, list[dict]] = {}
+    violations: dict[str, int] = {}
+    for r in results:
+        profile = str(r["profile"])
+        cells.setdefault((float(r["intensity"]), profile), []).append(r)
+        by_profile.setdefault(profile, []).append(r)
+        # A run that broke an invariant counts once per invariant.
+        for name in r.get("violated", ()):
+            violations[name] = violations.get(name, 0) + 1
+    surface = []
+    for intensity, profile in sorted(
+        cells, key=lambda k: (k[0], *_profile_rank(k[1]))
+    ):
+        cell = {"intensity": intensity, "profile": profile}
+        cell.update(_cell(cells[intensity, profile]))
+        cell["survival_rate"] = cell["survived"] / cell["runs"]
+        surface.append(cell)
+    quality = []
+    for profile in sorted(by_profile, key=_profile_rank):
+        runs = by_profile[profile]
+        cell = _cell(runs)
+        total = cell["delivered"] + cell["lost"]
+        quality.append(
+            {
+                "profile": profile,
+                "runs": cell["runs"],
+                "delivered": cell["delivered"],
+                "lost": cell["lost"],
+                "underruns": sum(
+                    1 for r in runs if "playout_underrun" in r.get("violated", ())
+                ),
+                "loss_fraction": cell["lost"] / total if total else 0.0,
+                "mean_throughput_bytes_per_sec": cell["mean_throughput_bytes_per_sec"],
+                "min_throughput_bytes_per_sec": min(
+                    float(r.get("throughput_bytes_per_sec", 0.0)) for r in runs
+                ),
+            }
+        )
+    return {
+        "survival_surface": surface,
+        "violations": dict(sorted(violations.items())),
+        "quality": quality,
+    }
+
+
+def render_rollup(summary: dict) -> str:
+    """The three chaos rollup tables."""
+    from repro.experiments.reporting import format_table
+
+    surface = format_table(
+        "Survival surface (all chaos campaigns)",
+        [
+            "intensity",
+            "profile",
+            "runs",
+            "established",
+            "survived",
+            "rate",
+            "delivered",
+            "lost",
+            "mean KB/s",
+        ],
+        [
+            [
+                f"{cell['intensity']:.2f}",
+                cell["profile"],
+                str(cell["runs"]),
+                str(cell["established"]),
+                str(cell["survived"]),
+                f"{cell['survival_rate'] * 100:.0f}%",
+                str(cell["delivered"]),
+                str(cell["lost"]),
+                f"{cell['mean_throughput_bytes_per_sec'] / 1000:.1f}",
+            ]
+            for cell in summary["survival_surface"]
+        ],
+    )
+    violations = format_table(
+        "Invariant violations (runs that broke each invariant)",
+        ["invariant", "runs"],
+        [[name, str(count)] for name, count in summary["violations"].items()]
+        or [["(none)", "0"]],
+    )
+    quality = format_table(
+        "Delivered quality by profile",
+        [
+            "profile",
+            "runs",
+            "delivered",
+            "lost",
+            "loss",
+            "underruns",
+            "mean KB/s",
+            "min KB/s",
+        ],
+        [
+            [
+                row["profile"],
+                str(row["runs"]),
+                str(row["delivered"]),
+                str(row["lost"]),
+                f"{row['loss_fraction'] * 100:.2f}%",
+                str(row["underruns"]),
+                f"{row['mean_throughput_bytes_per_sec'] / 1000:.1f}",
+                f"{row['min_throughput_bytes_per_sec'] / 1000:.1f}",
+            ]
+            for row in summary["quality"]
+        ],
+    )
+    return "\n\n".join([surface, violations, quality])

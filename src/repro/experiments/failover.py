@@ -510,6 +510,19 @@ def run_point(params: dict) -> dict:
     return run.as_dict()
 
 
+def _run_totals(run: FailoverRun) -> dict:
+    """Session totals of one journalled run, in table column order."""
+    admitted = run.admitted()
+    return {
+        "requests": len(run.sessions),
+        "admitted": len(admitted),
+        "survived": run.survived_count(),
+        "lost_streams": sum(1 for s in admitted if not s.survived()),
+        "failovers": sum(s.failovers for s in run.sessions),
+        "lost_packets": sum(s.lost_packets for s in run.sessions),
+    }
+
+
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged per-seed survival table, in spec order."""
     from repro.experiments.reporting import format_table
@@ -529,22 +542,19 @@ def render_fleet(spec, results: dict[str, dict]) -> str:
         if record is None:
             continue
         run = FailoverRun.from_dict(record["result"])
-        admitted = run.admitted()
-        totals[run.mode][0] += run.survived_count()
-        totals[run.mode][1] += len(admitted)
-        stranded = sum(
-            1 for s in admitted if not s.survived()
-        )
+        t = _run_totals(run)
+        totals[run.mode][0] += t["survived"]
+        totals[run.mode][1] += t["admitted"]
         rows.append(
             [
                 str(run.seed),
                 run.mode,
-                str(len(run.sessions)),
-                str(len(admitted)),
-                run.survival_line(),
-                str(stranded),
-                str(sum(s.failovers for s in run.sessions)),
-                str(sum(s.lost_packets for s in run.sessions)),
+                str(t["requests"]),
+                str(t["admitted"]),
+                f"{t['survived']}/{t['admitted']}",
+                str(t["lost_streams"]),
+                str(t["failovers"]),
+                str(t["lost_packets"]),
             ]
         )
     lines.append(
@@ -571,3 +581,37 @@ def render_fleet(spec, results: dict[str, dict]) -> str:
         )
     )
     return "\n".join(lines)
+
+
+def rollup(results: list[dict]) -> dict:
+    """Per-mode session totals across every journalled seed, in
+    :data:`MODES` order.  ``events`` (calendar entries) is left out: it
+    counts simulator work, not what the sessions got."""
+    by_mode: dict[str, dict] = {}
+    for r in results:
+        run = FailoverRun.from_dict(r)
+        row = by_mode.setdefault(run.mode, {"mode": run.mode, "runs": 0})
+        row["runs"] += 1
+        for name, value in _run_totals(run).items():
+            row[name] = row.get(name, 0) + value
+    return {"failover": [by_mode[mode] for mode in MODES if mode in by_mode]}
+
+
+def render_rollup(summary: dict) -> str:
+    """The per-mode totals table."""
+    from repro.experiments.reporting import format_table
+
+    return format_table(
+        "Failover rollup (totals across seeds)",
+        [
+            "mode",
+            "runs",
+            "requests",
+            "admitted",
+            "survived",
+            "lost streams",
+            "failovers",
+            "lost pkts",
+        ],
+        [[str(value) for value in row.values()] for row in summary["failover"]],
+    )

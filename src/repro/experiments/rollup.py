@@ -2,38 +2,42 @@
 
 A fleet campaign answers one question for one seed population; the
 paper-scale question -- *can the necessary data rates be supported?* --
-is answered by the aggregate: survival **surfaces** over every journalled
-intensity/profile cell, violation and playout-underrun counts per
-invariant, and delivered-quality summaries (the Media-TCP-style metric
-that lets stock and adaptive CTMSP be judged across campaigns rather than
-per-run).
+is answered by the aggregate over every journal in a state dir.  What
+that aggregate is belongs to each campaign kind: the kind module named
+in :data:`~repro.experiments.fleet.KIND_MODULES` defines
+``rollup(results) -> dict`` and ``render_rollup(summary) -> str`` next
+to its ``run_point``/``render_fleet``.  This module loads journals,
+renders the overview table, and calls those hooks, one section per kind
+in ``KIND_MODULES`` order.  A kind with no ok result gets no section,
+and its module is never imported; a journal of a kind not in
+``KIND_MODULES`` keeps its overview row and gets no section.
 
 This module reads journals and produces text/JSON; it drives nothing.
 ctms-lint holds it to that by name: CTMS302 forbids
 ``experiments/rollup.py`` from importing any actuator or model layer
 (``core``/``drivers``/``faults``/...), exactly like ``repro.obs``.
 
-Determinism contract: every aggregate iterates campaigns in
-campaign-id order and records in point-key order, never journal
-(completion) order -- so ``jobs=1`` and ``jobs=4`` runs of the same spec
-roll up byte-identically (pinned by a golden test).  Telemetry records
-(wall-clock timestamps, worker ids) are deliberately excluded from the
-rollup output for the same reason.
+Determinism contract: each hook receives its kind's results in
+campaign-id order, then point-key order, never journal (completion)
+order -- so ``jobs=1`` and ``jobs=4`` runs of the same spec roll up
+byte-identically (pinned by a golden test).  Telemetry records
+(wall-clock timestamps, worker ids) are never loaded.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
-from repro.experiments.fleet import Journal, _campaign_journals
+from repro.experiments.fleet import (
+    KIND_MODULES,
+    Journal,
+    _campaign_journals,
+    kind_module,
+)
 from repro.experiments.reporting import format_table
-
-#: Profile render order for survival surfaces (stock first, like every
-#: stock-vs-CTMSP table in the repo).
-PROFILE_ORDER = ("stock", "ctmsp")
 
 
 @dataclass
@@ -44,7 +48,6 @@ class CampaignData:
     header: dict[str, Any]
     #: Point-key -> last journalled record (``status`` ok/failed).
     records: dict[str, dict[str, Any]]
-    telemetry: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def campaign(self) -> str:
@@ -85,207 +88,35 @@ def load_campaigns(
     campaigns: list[CampaignData] = []
     for root in state_dirs:
         for path in _campaign_journals(Path(root)):
-            header, records, telemetry = Journal.load_full(path)
+            header, records = Journal.load(path)
             campaigns.append(
-                CampaignData(
-                    path=path,
-                    header=header,
-                    records=records,
-                    telemetry=telemetry,
-                )
+                CampaignData(path=path, header=header, records=records)
             )
     campaigns.sort(key=lambda c: (c.kind, c.campaign, c.path.name))
     return campaigns
 
 
-# ----------------------------------------------------------------------
-# aggregations (pure arithmetic over result dicts, key-ordered)
-# ----------------------------------------------------------------------
-def survival_surface(
-    campaigns: list[CampaignData],
-) -> list[dict[str, Any]]:
-    """The chaos survival surface: one cell per (intensity, profile).
-
-    Each cell aggregates every chaos run at that intensity/profile across
-    *all* campaigns: run count, sessions established, invariant survivors,
-    delivered/lost packet totals, and mean throughput.  Rows are ordered
-    intensity-ascending, profile in :data:`PROFILE_ORDER` -- never by
-    completion.
-    """
-    cells: dict[tuple[float, str], dict[str, Any]] = {}
-    for campaign in campaigns:
-        if campaign.kind != "chaos":
-            continue
-        for result in campaign.ok_results():
-            key = (float(result["intensity"]), str(result["profile"]))
-            cell = cells.setdefault(
-                key,
-                {
-                    "intensity": key[0],
-                    "profile": key[1],
-                    "runs": 0,
-                    "established": 0,
-                    "survived": 0,
-                    "delivered": 0,
-                    "lost": 0,
-                    "throughput_sum": 0.0,
-                },
-            )
-            cell["runs"] += 1
-            cell["established"] += 1 if result.get("established") else 0
-            survived = result.get("established") and not result.get("violated")
-            cell["survived"] += 1 if survived else 0
-            cell["delivered"] += int(result.get("delivered", 0))
-            cell["lost"] += int(result.get("lost_packets", 0))
-            cell["throughput_sum"] += float(
-                result.get("throughput_bytes_per_sec", 0.0)
-            )
-    ordered = []
-    profile_rank = {name: i for i, name in enumerate(PROFILE_ORDER)}
-    for key in sorted(
-        cells, key=lambda k: (k[0], profile_rank.get(k[1], len(profile_rank)), k[1])
-    ):
-        cell = cells[key]
-        cell["survival_rate"] = cell["survived"] / cell["runs"]
-        cell["mean_throughput_bytes_per_sec"] = (
-            cell["throughput_sum"] / cell["runs"]
-        )
-        del cell["throughput_sum"]
-        ordered.append(cell)
-    return ordered
-
-
-def violation_counts(campaigns: list[CampaignData]) -> dict[str, int]:
-    """How often each invariant broke, across every chaos run.
-
-    Keys are the invariant names of
-    :mod:`repro.faults.invariants` (``loss_fraction``, ``inter_arrival``,
-    ``throughput``, ``playout_underrun``, ``no_reordering``); a run that
-    broke an invariant counts once per invariant.  Sorted by name.
-    """
-    counts: dict[str, int] = {}
-    for campaign in campaigns:
-        if campaign.kind != "chaos":
-            continue
-        for result in campaign.ok_results():
-            for name in result.get("violated", ()):
-                counts[name] = counts.get(name, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def quality_summary(
-    campaigns: list[CampaignData],
-) -> list[dict[str, Any]]:
-    """Delivered-quality per profile: the cross-campaign judging metric.
-
-    Media-TCP's question -- which configuration *delivers* under
-    contention -- needs totals across campaigns, not per-run traces:
-    delivered/lost packets, loss fraction, mean and worst-case
-    throughput, and the playout-underrun count, per profile.
-    """
-    rows: dict[str, dict[str, Any]] = {}
-    for campaign in campaigns:
-        if campaign.kind != "chaos":
-            continue
-        for result in campaign.ok_results():
-            profile = str(result["profile"])
-            row = rows.setdefault(
-                profile,
-                {
-                    "profile": profile,
-                    "runs": 0,
-                    "delivered": 0,
-                    "lost": 0,
-                    "underruns": 0,
-                    "throughput_sum": 0.0,
-                    "min_throughput_bytes_per_sec": None,
-                },
-            )
-            row["runs"] += 1
-            row["delivered"] += int(result.get("delivered", 0))
-            row["lost"] += int(result.get("lost_packets", 0))
-            if "playout_underrun" in result.get("violated", ()):
-                row["underruns"] += 1
-            tput = float(result.get("throughput_bytes_per_sec", 0.0))
-            row["throughput_sum"] += tput
-            low = row["min_throughput_bytes_per_sec"]
-            row["min_throughput_bytes_per_sec"] = (
-                tput if low is None else min(low, tput)
-            )
-    profile_rank = {name: i for i, name in enumerate(PROFILE_ORDER)}
-    ordered = []
-    for profile in sorted(
-        rows, key=lambda p: (profile_rank.get(p, len(profile_rank)), p)
-    ):
-        row = rows[profile]
-        total = row["delivered"] + row["lost"]
-        row["loss_fraction"] = row["lost"] / total if total else 0.0
-        row["mean_throughput_bytes_per_sec"] = (
-            row["throughput_sum"] / row["runs"] if row["runs"] else 0.0
-        )
-        del row["throughput_sum"]
-        ordered.append(row)
-    return ordered
-
-
-def ablation_summary(campaigns: list[CampaignData]) -> list[dict[str, Any]]:
-    """Per-variant aggregate over every ablation campaign, name-ordered."""
-    rows: dict[str, dict[str, Any]] = {}
-    for campaign in campaigns:
-        if campaign.kind != "ablation":
-            continue
-        for result in campaign.ok_results():
-            name = str(result.get("name", "?"))
-            row = rows.setdefault(
-                name,
-                {"variant": name, "seeds": 0, "delivered": 0, "lost": 0},
-            )
-            row["seeds"] += 1
-            row["delivered"] += int(result.get("delivered", 0))
-            row["lost"] += int(result.get("lost", 0))
-    return [rows[name] for name in sorted(rows)]
-
-
-def validation_summary(
-    campaigns: list[CampaignData],
-) -> Optional[dict[str, Any]]:
-    """Agreement totals over every validation campaign (None when none)."""
-    seeds = agree = 0
-    max_skew = 0
-    for campaign in campaigns:
-        if campaign.kind != "validation":
-            continue
-        for result in campaign.ok_results():
-            seeds += 1
-            agree += 1 if result.get("agrees") else 0
-            max_skew = max(max_skew, int(result.get("max_delivery_skew_ns", 0)))
-    if seeds == 0:
-        return None
-    return {"seeds": seeds, "agree": agree, "max_delivery_skew_ns": max_skew}
-
-
-def quality_summary_line(campaigns: list[CampaignData]) -> Optional[str]:
-    """One line of delivered quality for progress output and logs."""
-    rows = quality_summary(campaigns)
-    if not rows:
-        return None
-    parts = [
-        f"{r['profile']} {r['delivered']} delivered/"
-        f"{r['lost']} lost ({r['loss_fraction'] * 100:.2f}%), "
-        f"{r['mean_throughput_bytes_per_sec'] / 1000:.1f} KB/s mean"
-        for r in rows
-    ]
-    return "quality: " + "; ".join(parts)
-
-
-# ----------------------------------------------------------------------
-# the rollup report
-# ----------------------------------------------------------------------
 @dataclass
 class RollupReport:
     """Everything the aggregated journals say, render- and JSON-ready."""
 
     campaigns: list[CampaignData]
+
+    def sections(self) -> list[tuple[Any, dict[str, Any]]]:
+        """(kind module, its ``rollup`` summary) per kind with ok results,
+        in ``KIND_MODULES`` order."""
+        out = []
+        for kind in KIND_MODULES:
+            results = [
+                result
+                for campaign in self.campaigns
+                if campaign.kind == kind
+                for result in campaign.ok_results()
+            ]
+            if results:
+                module = kind_module(kind)
+                out.append((module, module.rollup(results)))
+        return out
 
     def as_dict(self) -> dict[str, Any]:
         """Deterministic plain-data view (the ``--json`` output)."""
@@ -302,17 +133,8 @@ class RollupReport:
                 }
             )
         out: dict[str, Any] = {"campaigns": overview}
-        surface = survival_surface(self.campaigns)
-        if surface:
-            out["survival_surface"] = surface
-            out["violations"] = violation_counts(self.campaigns)
-            out["quality"] = quality_summary(self.campaigns)
-        ablations = ablation_summary(self.campaigns)
-        if ablations:
-            out["ablations"] = ablations
-        validation = validation_summary(self.campaigns)
-        if validation is not None:
-            out["validation"] = validation
+        for _module, summary in self.sections():
+            out.update(summary)
         return out
 
     def to_json(self) -> str:
@@ -322,120 +144,22 @@ class RollupReport:
         """Deterministic text rollup across every loaded journal."""
         if not self.campaigns:
             return "no campaign journals found (nothing to roll up)"
-        sections: list[str] = []
-        total_points = ok_points = failed_points = 0
-        overview_rows = []
-        for campaign in self.campaigns:
-            total, ok, failed = campaign.counts()
-            total_points += total
-            ok_points += ok
-            failed_points += failed
-            overview_rows.append(
-                [campaign.campaign, campaign.kind, str(total), str(ok), str(failed)]
-            )
-        sections.append(
-            format_table(
-                f"Campaign rollup: {len(self.campaigns)} journal(s), "
-                f"{ok_points}/{total_points} points ok, "
-                f"{failed_points} failed",
-                ["campaign", "kind", "points", "ok", "failed"],
-                overview_rows,
-            )
+        counts = [campaign.counts() for campaign in self.campaigns]
+        total_points, ok_points, failed_points = map(sum, zip(*counts))
+        overview = format_table(
+            f"Campaign rollup: {len(self.campaigns)} journal(s), "
+            f"{ok_points}/{total_points} points ok, "
+            f"{failed_points} failed",
+            ["campaign", "kind", "points", "ok", "failed"],
+            [
+                [campaign.campaign, campaign.kind, *map(str, count)]
+                for campaign, count in zip(self.campaigns, counts)
+            ],
         )
-        surface = survival_surface(self.campaigns)
-        if surface:
-            sections.append(
-                format_table(
-                    "Survival surface (all chaos campaigns)",
-                    [
-                        "intensity",
-                        "profile",
-                        "runs",
-                        "established",
-                        "survived",
-                        "rate",
-                        "delivered",
-                        "lost",
-                        "mean KB/s",
-                    ],
-                    [
-                        [
-                            f"{cell['intensity']:.2f}",
-                            cell["profile"],
-                            str(cell["runs"]),
-                            str(cell["established"]),
-                            str(cell["survived"]),
-                            f"{cell['survival_rate'] * 100:.0f}%",
-                            str(cell["delivered"]),
-                            str(cell["lost"]),
-                            f"{cell['mean_throughput_bytes_per_sec'] / 1000:.1f}",
-                        ]
-                        for cell in surface
-                    ],
-                )
-            )
-            violations = violation_counts(self.campaigns)
-            sections.append(
-                format_table(
-                    "Invariant violations (runs that broke each invariant)",
-                    ["invariant", "runs"],
-                    [[name, str(count)] for name, count in violations.items()]
-                    or [["(none)", "0"]],
-                )
-            )
-            sections.append(
-                format_table(
-                    "Delivered quality by profile",
-                    [
-                        "profile",
-                        "runs",
-                        "delivered",
-                        "lost",
-                        "loss",
-                        "underruns",
-                        "mean KB/s",
-                        "min KB/s",
-                    ],
-                    [
-                        [
-                            row["profile"],
-                            str(row["runs"]),
-                            str(row["delivered"]),
-                            str(row["lost"]),
-                            f"{row['loss_fraction'] * 100:.2f}%",
-                            str(row["underruns"]),
-                            f"{row['mean_throughput_bytes_per_sec'] / 1000:.1f}",
-                            f"{(row['min_throughput_bytes_per_sec'] or 0) / 1000:.1f}",
-                        ]
-                        for row in quality_summary(self.campaigns)
-                    ],
-                )
-            )
-        ablations = ablation_summary(self.campaigns)
-        if ablations:
-            sections.append(
-                format_table(
-                    "Ablation rollup (totals across seeds)",
-                    ["configuration", "seeds", "delivered", "lost"],
-                    [
-                        [
-                            row["variant"],
-                            str(row["seeds"]),
-                            str(row["delivered"]),
-                            str(row["lost"]),
-                        ]
-                        for row in ablations
-                    ],
-                )
-            )
-        validation = validation_summary(self.campaigns)
-        if validation is not None:
-            sections.append(
-                "Model validation rollup: "
-                f"{validation['agree']}/{validation['seeds']} seeds agree, "
-                f"max delivery skew {validation['max_delivery_skew_ns']} ns"
-            )
-        return "\n\n".join(sections)
+        return "\n\n".join(
+            [overview]
+            + [module.render_rollup(summary) for module, summary in self.sections()]
+        )
 
 
 def rollup(

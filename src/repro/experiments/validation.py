@@ -158,32 +158,56 @@ def run_point(params: dict) -> dict:
     return {"seed": params["seed"], **result.as_dict()}
 
 
+def _agree_count(results: list[dict]) -> int:
+    """How many seeds' ring models agreed."""
+    return sum(1 for r in results if r.get("agrees"))
+
+
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged agreement table, one row per seed in spec order."""
     from repro.experiments.reporting import format_table
 
-    rows = []
-    agree = total = 0
-    for point in spec.points:
-        record = results.get(point.key)
-        if record is None:
-            continue
-        r = record["result"]
-        total += 1
-        agree += 1 if r["agrees"] else 0
-        rows.append(
-            [
-                str(r["seed"]),
-                str(r["frames"]),
-                str(r["max_delivery_skew_ns"]),
-                f"{r['mean_delivery_skew_ns']:.1f}",
-                str(r["detailed_token_hops"]),
-                "agree" if r["agrees"] else "DIVERGED",
-            ]
-        )
+    runs = [
+        results[point.key]["result"]
+        for point in spec.points
+        if point.key in results
+    ]
+    rows = [
+        [
+            str(r["seed"]),
+            str(r["frames"]),
+            str(r["max_delivery_skew_ns"]),
+            f"{r['mean_delivery_skew_ns']:.1f}",
+            str(r["detailed_token_hops"]),
+            "agree" if r["agrees"] else "DIVERGED",
+        ]
+        for r in runs
+    ]
     table = format_table(
         "Fleet model validation: lazy vs hop-level token ring",
         ["seed", "frames", "max skew(ns)", "mean skew(ns)", "token hops", "verdict"],
         rows,
     )
-    return table + f"\n\nagreement: {agree}/{total} seeds"
+    return table + f"\n\nagreement: {_agree_count(runs)}/{len(runs)} seeds"
+
+
+def rollup(results: list[dict]) -> dict:
+    """Agreement totals across every journalled seed."""
+    return {
+        "validation": {
+            "seeds": len(results),
+            "agree": _agree_count(results),
+            "max_delivery_skew_ns": max(
+                int(r.get("max_delivery_skew_ns", 0)) for r in results
+            ),
+        }
+    }
+
+
+def render_rollup(summary: dict) -> str:
+    """One agreement line."""
+    v = summary["validation"]
+    return (
+        f"Model validation rollup: {v['agree']}/{v['seeds']} seeds agree, "
+        f"max delivery skew {v['max_delivery_skew_ns']} ns"
+    )

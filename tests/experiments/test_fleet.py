@@ -99,12 +99,14 @@ def test_empty_campaign_rejected(build):
         build()
 
 
-def test_every_kind_module_defines_the_two_hooks():
+def test_every_kind_module_defines_the_four_hooks():
     assert set(KIND_MODULES) == {"chaos", "ablation", "validation", "failover"}
     for kind in KIND_MODULES:
         module = kind_module(kind)
         assert callable(module.run_point), kind
         assert callable(module.render_fleet), kind
+        assert callable(module.rollup), kind
+        assert callable(module.render_rollup), kind
 
 
 # ----------------------------------------------------------------------

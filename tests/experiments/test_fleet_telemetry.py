@@ -49,6 +49,9 @@ def test_merged_report_is_byte_identical_with_telemetry_on_or_off(tmp_path):
         "campaign_finished",
     ]
     assert events_in(without.journal) == []
+    # Telemetry records never carry a point key: results stay keyed.
+    _header, _records, recs = Journal.load_full(with_telemetry.journal)
+    assert all("key" not in r for r in recs)
 
     # ...and the result loader reads the same result set from both.
     _h1, on_records = Journal.load(with_telemetry.journal)

@@ -56,35 +56,42 @@ def test_unknown_command_rejected():
 
 
 @pytest.mark.parametrize(
-    ("argv", "flag", "floor"),
+    ("argv", "flag", "message"),
     [
-        (["ablate", "--jobs", "1", "--seeds", "0"], "--seeds", 1),
-        (["chaos", "--jobs", "1", "--seeds", "0"], "--seeds", 1),
+        (["ablate", "--jobs", "1", "--seeds", "0"], "--seeds", "must be at least 1"),
+        (["chaos", "--jobs", "1", "--seeds", "0"], "--seeds", "must be at least 1"),
         (["chaos", "--scenario", "failover", "--jobs", "1", "--seeds", "-2"],
-         "--seeds", 1),
-        (["fig5-2", "--seconds", "0"], "--seconds", 1),
-        (["ablate", "--seconds", "-1"], "--seconds", 1),
-        (["trace", "--seconds", "-1"], "--seconds", 1),
-        (["fig5-4", "--minutes", "0"], "--minutes", 1),
-        (["chaos", "--jobs", "-2", "--smoke"], "--jobs", 0),
-        (["ablate", "--jobs", "-1"], "--jobs", 0),
+         "--seeds", "must be at least 1"),
+        (["fig5-2", "--seconds", "0"], "--seconds", "must be at least 1"),
+        (["ablate", "--seconds", "-1"], "--seconds", "must be at least 1"),
+        (["trace", "--seconds", "-1"], "--seconds", "must be at least 1"),
+        (["fig5-4", "--minutes", "0"], "--minutes", "must be at least 1"),
+        (["chaos", "--jobs", "-2", "--smoke"], "--jobs", "must be at least 0"),
+        (["ablate", "--jobs", "-1"], "--jobs", "must be at least 0"),
+        (["chaos", "--intensities", "-1", "--seconds", "1"], "--intensities",
+         "must be at least 0"),
+        (["chaos", "--intensities", "nan", "--seconds", "1"], "--intensities",
+         "must be finite"),
+        (["chaos", "--intensities", "inf", "--seconds", "1"], "--intensities",
+         "must be finite"),
     ],
     ids=[
         "ablate", "chaos", "chaos-failover", "fig5-2-seconds",
         "ablate-seconds", "trace-seconds", "fig5-4-minutes", "chaos-jobs",
-        "ablate-jobs",
+        "ablate-jobs", "chaos-intensities-negative", "chaos-intensities-nan",
+        "chaos-intensities-inf",
     ],
 )
 def test_seeds_below_one_is_a_usage_error(
-    argv, flag, floor, capsys, tmp_path, monkeypatch
+    argv, flag, message, capsys, tmp_path, monkeypatch
 ):
-    """A seed, duration or worker count below its floor exits 2 before
-    anything runs or is written (journal, trace file)."""
+    """A seed, duration, worker count or intensity outside its range
+    exits 2 before anything runs or is written (journal, trace file)."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert f"argument {flag}: must be at least {floor}" in capsys.readouterr().err
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

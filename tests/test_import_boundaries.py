@@ -11,8 +11,9 @@ it from growing back:
 * no simulator module loads the lint engine;
 * a serial campaign (``run_fleet(jobs=1)``) never loads ``multiprocessing``;
 * the fleet supervisor and the journal rollup load no campaign kind's
-  experiment module, and the chaos and failover experiments load no fleet
-  code until a fleet spec is built.
+  experiment module (rolling up loads only the kinds its journals hold),
+  and the chaos and failover experiments load no fleet code until a fleet
+  spec is built.
 """
 
 import json
@@ -118,6 +119,23 @@ def test_supervisor_loads_no_campaign_kind(module):
 
     loaded = loaded_after(module)[module]
     assert set(loaded) & set(KIND_MODULES.values()) == set()
+
+
+def test_rollup_loads_only_the_kinds_it_finds(tmp_path):
+    from repro.experiments.fleet import KIND_MODULES, run_fleet
+    from repro.experiments.validation import validation_fleet_spec
+
+    assert run_fleet(
+        validation_fleet_spec([1], n_frames=12), jobs=1, state_dir=tmp_path
+    ).ok()
+    script = (
+        "import json, sys\n"
+        "from repro.experiments.rollup import rollup\n"
+        f"rollup({str(tmp_path)!r}).render()\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = set(json.loads(run_fresh(script)))
+    assert loaded & set(KIND_MODULES.values()) == {KIND_MODULES["validation"]}
 
 
 @pytest.mark.parametrize(
