@@ -2,7 +2,7 @@ PYTHON ?= python
 
 export PYTHONPATH := src
 
-.PHONY: test lint chaos chaos-par bench-micro bench-lint examples trace-demo
+.PHONY: test lint chaos chaos-par bench-lint examples trace-demo
 
 # Static analysis first: a determinism/layering violation fails fast,
 # before the (slower) simulation suites run.
@@ -36,11 +36,8 @@ chaos-par:
 #   python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0|1
 
 # The paper reproductions under benchmarks/ (every figure and in-text
-# result; tables land in results/), each run exactly once under
-# pytest-benchmark's `benchmark` fixture so the report times them end
-# to end.  There are no micro-benchmarks.
-bench-micro:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+# result; tables land in results/) run as plain pytest:
+#   $(PYTHON) -m pytest benchmarks/ --durations=0
 
 # Lint engine benchmark: cold vs warm-cache wall-clock over src/
 # (writes BENCH_lint.json).

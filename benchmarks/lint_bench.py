@@ -7,7 +7,7 @@ re-parses nothing; it only re-links the project graph and re-runs the
 cross-module phases, so the ratio measures what the incremental engine
 actually buys a pre-push hook.
 
-Standalone script (``make bench-lint``), not a pytest-benchmark suite:
+Standalone script (``make bench-lint``), not a pytest suite:
 the interesting number is end-to-end CLI-equivalent wall-clock including
 cache (de)serialization, which a microbenchmark harness would distort.
 """
@@ -19,7 +19,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.analysis import run_lint_v2
+from repro.analysis.v2 import run_lint_v2
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT = REPO_ROOT / "BENCH_lint.json"

@@ -10,9 +10,10 @@ of the paper's modifications is in the design.  The matrix itself lives in
 
 from repro.core.session import CTMSSession
 from repro.experiments.ablations import TABLE_HEADERS, run_matrix
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.scenarios import test_case_b as scenario_b
 from repro.experiments.testbed import HostConfig, Testbed
+from repro.obs.metrics import format_table
 from repro.ring.station import RingStation
 from repro.sim.units import MS, SEC, US
 from repro.workloads.background import LightweightSender
@@ -20,8 +21,8 @@ from repro.workloads.background import LightweightSender
 DURATION = 25 * SEC
 
 
-def test_ablations(once):
-    summary = once(run_matrix, DURATION, 1)
+def test_ablations():
+    summary = run_matrix(DURATION, 1)
 
     emit(
         "ablations",
@@ -86,7 +87,7 @@ def _run_heavy_ring(ctmsp_ring_priority: int):
     return wait, session, bed
 
 
-def test_ring_priority_matters_under_ring_load(once):
+def test_ring_priority_matters_under_ring_load():
     """Section 3: "CTMSP uses a Token Ring priority above any other traffic"
     -- under a compile storm occupying ~45% of the wire, the priority keeps
     CTMSP's token access delay flat; without it the wait grows severalfold."""
@@ -96,7 +97,7 @@ def test_ring_priority_matters_under_ring_load(once):
         without_priority, s2, _ = _run_heavy_ring(0)
         return with_priority, without_priority, s1, s2
 
-    with_priority, without_priority, s1, s2 = once(run_both)
+    with_priority, without_priority, s1, s2 = run_both()
     emit(
         "ring_priority_heavy",
         format_table(

@@ -13,14 +13,15 @@ the CTMS direct path at the failing rate.
 
 from repro.core.session import CTMSSession
 from repro.experiments.baseline import run_rate_comparison, run_stock_relay
-from repro.experiments.reporting import emit, format_table
-from repro.experiments.scenarios import test_case_b as scenario_b
+from repro.experiments.reporting import emit
 from repro.experiments.runner import run_scenario
+from repro.experiments.scenarios import test_case_b as scenario_b
+from repro.obs.metrics import format_table
 from repro.sim.units import SEC
 
 
-def test_baseline_16_works_150_fails(once):
-    results = once(run_rate_comparison, duration_ns=25 * SEC, seed=3)
+def test_baseline_16_works_150_fails():
+    results = run_rate_comparison(duration_ns=25 * SEC, seed=3)
 
     rows = []
     for rate, r in sorted(results.items()):
@@ -51,12 +52,10 @@ def test_baseline_16_works_150_fails(once):
     assert high.glitch_rate_per_sec() > 1.0
 
 
-def test_ctms_sustains_the_rate_the_stock_path_cannot(once):
+def test_ctms_sustains_the_rate_the_stock_path_cannot():
     # The same 150KB/s-class stream through the CTMS prototype, on the
     # *loaded* public ring, is glitch-free.
-    result = once(
-        run_scenario, scenario_b(duration_ns=25 * SEC, seed=3)
-    )
+    result = run_scenario(scenario_b(duration_ns=25 * SEC, seed=3))
     tracker = result.tracker
     assert tracker.lost_packets == 0
     assert result.stream.throughput_bytes_per_sec() > 160_000

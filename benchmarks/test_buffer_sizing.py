@@ -13,10 +13,11 @@ across the insertion.
 """
 
 from repro.core.buffering import PlayoutBuffer, max_drawdown_bytes, required_buffer_bytes
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import test_case_b as scenario_b
 from repro.hardware import calibration
+from repro.obs.metrics import format_table
 from repro.sim.units import MINUTE, MS, SEC
 
 RATE = calibration.CTMSP_STREAM_RATE_BYTES_PER_SEC  # ~166 KB/s offered
@@ -30,8 +31,8 @@ def run_trace():
     return result
 
 
-def test_buffer_sizing_under_25kb(once):
-    result = once(run_trace)
+def test_buffer_sizing_under_25kb():
+    result = run_trace()
     arrivals = result.stream.arrival_times
     assert result.testbed.inserter.stats_insertions >= 1
 

@@ -18,9 +18,10 @@ Two regimes:
 
 from repro.core.buffering import PlayoutBuffer, required_buffer_bytes
 from repro.core.session import CTMSSession
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.scenarios import test_case_b as scenario_b
 from repro.experiments.testbed import HostConfig, Testbed
+from repro.obs.metrics import format_table
 from repro.sim.units import MS, SEC
 from repro.workloads.background import BackgroundTraffic
 from repro.workloads.media import CD_AUDIO
@@ -57,8 +58,8 @@ def run_cd_audio(duration_ns=60 * SEC, seed=5, loaded=True):
     return bed, session
 
 
-def test_cd_audio_glitch_free_on_private_ring(once):
-    bed, session = once(run_cd_audio, loaded=False)
+def test_cd_audio_glitch_free_on_private_ring():
+    bed, session = run_cd_audio(loaded=False)
     stats = session.stats
     tracker = session.sink_tracker
 
@@ -102,10 +103,10 @@ def test_cd_audio_glitch_free_on_private_ring(once):
     )
 
 
-def test_cd_audio_is_at_capacity_edge_on_loaded_ring(once):
+def test_cd_audio_is_at_capacity_edge_on_loaded_ring():
     """176.4 KB/s exceeds what the prototype sustains under normal load --
     the capacity reason the paper's evaluation rate is 150 KB/s."""
-    bed, session = once(run_cd_audio, seed=5, loaded=True)
+    bed, session = run_cd_audio(seed=5, loaded=True)
     tx = bed.hosts["transmitter"]
     tracker = session.sink_tracker
     # The stream mostly works...

@@ -14,12 +14,13 @@ interface), and the Token Ring adapter is, so the measured expectations are
 
 from repro.core.direct import TransferPath, paper_claims, predicted_copies
 from repro.experiments.copies import measure_all
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
+from repro.obs.metrics import format_table
 from repro.sim.units import SEC
 
 
-def test_copy_counts_match_section_2(once):
-    measured = once(measure_all, duration_ns=10 * SEC, seed=5)
+def test_copy_counts_match_section_2():
+    measured = measure_all(duration_ns=10 * SEC, seed=5)
 
     rows = []
     for m in measured:

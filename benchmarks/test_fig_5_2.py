@@ -14,8 +14,8 @@ from repro.experiments.scenarios import test_case_b as scenario_b
 from repro.sim.units import MS, SEC, US
 
 
-def test_fig_5_2_test_case_b(once):
-    result = once(run_scenario, scenario_b(duration_ns=60 * SEC, seed=1))
+def test_fig_5_2_test_case_b():
+    result = run_scenario(scenario_b(duration_ns=60 * SEC, seed=1))
     h6 = result.histograms[6]
     emit("fig_5_2", figure_5_2_report(h6))
 

@@ -10,8 +10,8 @@ from repro.experiments.scenarios import test_case_a as scenario_a
 from repro.sim.units import MS, SEC, US
 
 
-def test_fig_5_3_test_case_a(once):
-    result = once(run_scenario, scenario_a(duration_ns=60 * SEC, seed=1))
+def test_fig_5_3_test_case_a():
+    result = run_scenario(scenario_a(duration_ns=60 * SEC, seed=1))
     h7 = result.histograms[7]
     emit("fig_5_3", figure_5_3_report(h7))
 

@@ -21,11 +21,11 @@ DURATION = 6 * MINUTE
 INSERTIONS_PER_DAY = 24 * 30.0
 
 
-def test_fig_5_4_test_case_b_with_insertions(once):
+def test_fig_5_4_test_case_b_with_insertions():
     scenario = scenario_b(
         duration_ns=DURATION, seed=2, insertions_per_day=INSERTIONS_PER_DAY
     )
-    result = once(run_scenario, scenario)
+    result = run_scenario(scenario)
     h7 = result.histograms[7]
     inserter = result.testbed.inserter
     emit(

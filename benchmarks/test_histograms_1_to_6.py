@@ -20,8 +20,8 @@ from repro.hardware import calibration
 from repro.sim.units import MS, SEC, US
 
 
-def test_histograms_test_case_a(once):
-    result = once(run_scenario, scenario_a(duration_ns=40 * SEC, seed=3))
+def test_histograms_test_case_a():
+    result = run_scenario(scenario_a(duration_ns=40 * SEC, seed=3))
     h = result.histograms
     emit("histograms_case_a", histogram_summary_table(h, "Test Case A"))
 
@@ -42,8 +42,8 @@ def test_histograms_test_case_a(once):
     assert abs(h[6].primary_mode() - 2_500 * US) <= 400 * US
 
 
-def test_histograms_test_case_b(once):
-    result = once(run_scenario, scenario_b(duration_ns=40 * SEC, seed=3))
+def test_histograms_test_case_b():
+    result = run_scenario(scenario_b(duration_ns=40 * SEC, seed=3))
     h = result.histograms
     emit("histograms_case_b", histogram_summary_table(h, "Test Case B"))
 

@@ -7,9 +7,10 @@ load multiplier grows -- showing where the prototype's guarantees start to
 bend and that delivery itself stays lossless well past "normal".
 """
 
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import test_case_b as scenario_b
+from repro.obs.metrics import format_table
 from repro.sim.units import MS, SEC, US
 
 LOADS = (0.0, 0.5, 1.0, 2.0)
@@ -25,8 +26,8 @@ def run_sweep():
     return results
 
 
-def test_load_sweep(once):
-    results = once(run_sweep)
+def test_load_sweep():
+    results = run_sweep()
 
     rows = []
     summary = {}

@@ -12,14 +12,15 @@ pass-MAC-frames-to-host adapter would deliver, and price the interrupt
 load.
 """
 
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.hardware import calibration
+from repro.obs.metrics import format_table
 from repro.ring.monitor import ActiveMonitor
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import SEC, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.units import US
+from repro.sim.units import SEC, US
 
 #: Cost to take the interrupt and parse one MAC frame header, per Section
 #: 4's "additional interrupt and software decoding of packet headers".
@@ -52,8 +53,8 @@ def measure_mac_band():
     return results
 
 
-def test_mac_frame_interrupt_rate_band(once):
-    results = once(measure_mac_band)
+def test_mac_frame_interrupt_rate_band():
+    results = measure_mac_band()
     rows = [
         [
             f"{util * 100:.1f}%",

@@ -9,7 +9,7 @@
 * RT/PC pseudo-driver: clock granularity "only 122 microseconds".
 """
 
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.testbed import HostConfig, Testbed
 from repro.hardware import calibration
 from repro.hardware.cpu import Exec
@@ -18,6 +18,7 @@ from repro.measure.histogram import Histogram
 from repro.measure.logic_analyzer import LogicAnalyzer
 from repro.measure.pcat import PcatTimestamper
 from repro.measure.pseudo_driver import PseudoDriverTracer
+from repro.obs.metrics import format_table
 from repro.sim.units import MS, SEC, US
 
 
@@ -75,8 +76,8 @@ def run_tool_characterization(duration_ns=30 * SEC):
     return bed, analyzer, entries, pcat, tracer
 
 
-def test_measurement_tool_error_budgets(once):
-    bed, analyzer, entries, pcat, tracer = once(run_tool_characterization)
+def test_measurement_tool_error_budgets():
+    bed, analyzer, entries, pcat, tracer = run_tool_characterization()
 
     # --- logic analyzer: VCA period stability -------------------------
     deviation = analyzer.max_deviation_from(12 * MS)

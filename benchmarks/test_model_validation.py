@@ -8,19 +8,20 @@ speedup measure -- unparked it costs one event per 300 ns of simulated
 time.)
 """
 
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.validation import (
     AGREEMENT_TOLERANCE_NS,
     validate,
 )
+from repro.obs.metrics import format_table
 from repro.sim.units import US
 
 
-def test_lazy_model_agrees_with_hop_level_reference(once):
+def test_lazy_model_agrees_with_hop_level_reference():
     def run_all():
         return [validate(seed=s, n_frames=50) for s in (1, 2, 3)]
 
-    results = once(run_all)
+    results = run_all()
 
     rows = []
     for i, r in enumerate(results, start=1):

@@ -8,9 +8,10 @@ a crossover the experiment locates empirically.
 """
 
 from repro.core.session import CTMSSession
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
+from repro.obs.metrics import format_table
 from repro.sim.units import MS, SEC
 
 DURATION = 20 * SEC
@@ -55,8 +56,8 @@ def run_sweep():
     return results
 
 
-def test_multi_stream_capacity(once):
-    results = once(run_sweep)
+def test_multi_stream_capacity():
+    results = run_sweep()
 
     rows = []
     for n, data in results.items():

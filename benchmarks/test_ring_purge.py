@@ -15,9 +15,10 @@ Paper observations reproduced here:
 """
 
 from repro.core.session import CTMSSession
-from repro.experiments.reporting import emit, format_table
+from repro.experiments.reporting import emit
 from repro.experiments.scenarios import test_case_a as scenario_a
 from repro.experiments.testbed import HostConfig, Testbed
+from repro.obs.metrics import format_table
 from repro.sim.units import MINUTE, MS, SEC
 
 
@@ -40,8 +41,8 @@ def run_purge_experiment(purge_retransmit: bool, n_purges: int = 30, seed: int =
     return bed, tx, rx, session
 
 
-def test_purge_loses_single_packets_and_sink_recovers(once):
-    bed, tx, rx, session = once(run_purge_experiment, False)
+def test_purge_loses_single_packets_and_sink_recovers():
+    bed, tx, rx, session = run_purge_experiment(False)
     tracker = session.sink_tracker
     lost_on_ring = bed.ring.stats_lost_by_protocol.get("ctmsp", 0)
     assert lost_on_ring >= 5  # the phase-locked purges caught real frames
@@ -71,8 +72,8 @@ def test_purge_loses_single_packets_and_sink_recovers(once):
     )
 
 
-def test_hypothetical_purge_interrupt_recovers_by_retransmission(once):
-    bed, tx, rx, session = once(run_purge_experiment, True)
+def test_hypothetical_purge_interrupt_recovers_by_retransmission():
+    bed, tx, rx, session = run_purge_experiment(True)
     tracker = session.sink_tracker
     lost_on_ring = bed.ring.stats_lost_by_protocol.get("ctmsp", 0)
     assert lost_on_ring >= 5
@@ -98,7 +99,7 @@ def test_hypothetical_purge_interrupt_recovers_by_retransmission(once):
     )
 
 
-def test_insertion_rate_statistics(once):
+def test_insertion_rate_statistics():
     """~20 insertions/day at ~10 purges each, measured over simulated hours."""
 
     def run():
@@ -107,7 +108,7 @@ def test_insertion_rate_statistics(once):
         bed.run(6 * 60 * MINUTE)
         return bed
 
-    bed = once(run)
+    bed = run()
     inserter = bed.inserter
     # 20/day over 6 hours -> ~5 expected; Poisson tolerance.
     assert 1 <= inserter.stats_insertions <= 12

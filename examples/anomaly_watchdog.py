@@ -18,7 +18,8 @@ Run:  python examples/anomaly_watchdog.py
 from repro.core.session import CTMSSession
 from repro.experiments.controller import CampaignController
 from repro.experiments.testbed import HostConfig, Testbed
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injectors import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sim.units import MS, SEC
 
 bed = Testbed(seed=31)

@@ -15,7 +15,8 @@ Run:  python examples/ring_purge_recovery.py
 
 from repro.core.session import CTMSSession
 from repro.experiments.testbed import HostConfig, Testbed
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injectors import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sim.units import MS, SEC
 
 # A station inserts every ~2 seconds: each insertion purges the ring

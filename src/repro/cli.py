@@ -127,7 +127,7 @@ def _cmd_ablate(args) -> int:
         ablation_fleet_spec,
         run_matrix,
     )
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
         spec = ablation_fleet_spec(
@@ -456,6 +456,22 @@ def lint_path(text: str) -> str:
     return text
 
 
+def _chaos_flag_conflict(args) -> str | None:
+    """Why a ``chaos`` flag combination would be ignored or crash
+    mid-run, else None; ``main`` turns it into a usage error (exit 2)."""
+    if args.smoke and (args.jobs >= 1 or args.seeds > 1 or args.resume):
+        return "--smoke cannot be combined with --jobs, --seeds or --resume"
+    if not args.intensities:
+        return None
+    if args.scenario == "failover":
+        return "--intensities applies only to --scenario survival"
+    if args.smoke:
+        return "--smoke runs one fixed intensity; drop --intensities"
+    if len(set(args.intensities)) < len(args.intensities):
+        return "argument --intensities: values must be distinct"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -629,6 +645,10 @@ def main(argv=None) -> int:
         for name, (_fn, help_text) in COMMANDS.items():
             print(f"  {name:<12} {help_text}")
         return 0
+    if args.command == "chaos":
+        conflict = _chaos_flag_conflict(args)
+        if conflict:
+            parser.exit(2, f"{parser.prog} chaos: error: {conflict}\n")
     fn, _help = COMMANDS[args.command]
     return fn(args)
 

@@ -22,22 +22,3 @@ downstream user touches to move continuous-time media across the ring:
   admission control, watermark overload shedding, and mid-stream server
   failover (the sanctioned home of all control-plane policy decisions).
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "BandwidthLedger": "control",
-    "CTMSPPacket": "ctmsp",
-    "CTMSP_HEADER_BYTES": "ctmsp",
-    "CTMSP_RING_PRIORITY": "ctmsp",
-    "CTMSSession": "session",
-    "ControlPlaneConfig": "control",
-    "FailoverRecord": "control",
-    "ManagedSession": "control",
-    "PlayoutBuffer": "buffering",
-    "PresentationMachine": "presentation",
-    "SequenceTracker": "recovery",
-    "SessionControlPlane": "control",
-    "StreamStats": "stream",
-    "required_buffer_bytes": "buffering",
-})

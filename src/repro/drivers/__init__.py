@@ -11,12 +11,3 @@
 * :mod:`~repro.drivers.pseudo_trace` -- the pseudo device driver the paper
   first used for in-kernel timestamping (Section 5.2.1).
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "TokenRingDriver": "token_ring",
-    "TokenRingDriverConfig": "token_ring",
-    "VCADriver": "vca",
-    "VCADriverConfig": "vca",
-})

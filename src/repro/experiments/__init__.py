@@ -11,13 +11,3 @@
 * :mod:`~repro.experiments.copies` -- the Section 2 copy-count measurement;
 * :mod:`~repro.experiments.reporting` -- paper-style text tables.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "Host": "testbed",
-    "Scenario": "scenarios",
-    "Testbed": "testbed",
-    "test_case_a": "scenarios",
-    "test_case_b": "scenarios",
-})

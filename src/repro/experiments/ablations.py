@@ -200,7 +200,7 @@ def run_point(params: dict) -> dict:
 
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged matrix, one row per (variant, seed) in spec order."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     rows = []
     for point in spec.points:
@@ -234,7 +234,7 @@ def rollup(results: list[dict]) -> dict:
 
 def render_rollup(summary: dict) -> str:
     """The per-variant totals table."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     return format_table(
         "Ablation rollup (totals across seeds)",

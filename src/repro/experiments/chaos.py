@@ -405,7 +405,7 @@ def _cell(runs: list[dict]) -> dict:
 
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged survival report, in spec order."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     duration_ns = spec.meta["duration_ns"]
     seeds = spec.meta["seeds"]
@@ -535,7 +535,7 @@ def rollup(results: list[dict]) -> dict:
 
 def render_rollup(summary: dict) -> str:
     """The three chaos rollup tables."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     surface = format_table(
         "Survival surface (all chaos campaigns)",

@@ -525,7 +525,7 @@ def _run_totals(run: FailoverRun) -> dict:
 
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged per-seed survival table, in spec order."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     modes = spec.meta["modes"]
     duration_ns = spec.meta["duration_ns"]
@@ -599,7 +599,7 @@ def rollup(results: list[dict]) -> dict:
 
 def render_rollup(summary: dict) -> str:
     """The per-mode totals table."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     return format_table(
         "Failover rollup (totals across seeds)",

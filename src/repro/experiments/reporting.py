@@ -12,27 +12,11 @@ import os
 from typing import Iterable, Optional
 
 from repro.measure.histogram import Histogram
+from repro.obs.metrics import format_table
 from repro.sim.units import MS, US
 
 #: Where reports are written (next to the repo's bench outputs).
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
-
-
-def format_table(
-    title: str, headers: list[str], rows: list[list[str]]
-) -> str:
-    """A fixed-width text table."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-    bar = "-" * (sum(widths) + 2 * (len(widths) - 1))
-    parts = [title, bar, line(headers), bar]
-    parts += [line(r) for r in rows]
-    parts.append(bar)
-    return "\n".join(parts)
 
 
 def emit(name: str, text: str) -> None:

@@ -37,7 +37,7 @@ from repro.experiments.fleet import (
     _campaign_journals,
     kind_module,
 )
-from repro.experiments.reporting import format_table
+from repro.obs.metrics import format_table
 
 
 @dataclass

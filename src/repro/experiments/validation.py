@@ -165,7 +165,7 @@ def _agree_count(results: list[dict]) -> int:
 
 def render_fleet(spec, results: dict[str, dict]) -> str:
     """The merged agreement table, one row per seed in spec order."""
-    from repro.experiments.reporting import format_table
+    from repro.obs.metrics import format_table
 
     runs = [
         results[point.key]["result"]

@@ -22,18 +22,3 @@ Chaos campaigns (:mod:`repro.experiments.chaos`, ``python -m repro chaos``)
 sweep seeded random plans across transport configurations and report which
 invariants held at which fault intensity.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "ADAPTER_KINDS": "plan",
-    "FAULT_KINDS": "plan",
-    "FaultEvent": "plan",
-    "FaultInjector": "injectors",
-    "FaultPlan": "plan",
-    "HOST_KINDS": "plan",
-    "RING_KINDS": "plan",
-    "SERVER_KINDS": "plan",
-    "StreamInvariantMonitor": "invariants",
-    "Violation": "invariants",
-})

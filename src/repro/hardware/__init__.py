@@ -17,22 +17,3 @@ operating system:
 * :mod:`~repro.hardware.parallel_port` -- the 8-bit parallel output card the
   paper added to each measured machine to feed the PC/AT timestamper.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "CPU": "cpu",
-    "DMAEngine": "dma",
-    "Exec": "cpu",
-    "Frame": "cpu",
-    "Machine": "machine",
-    "MemoryRegion": "memory",
-    "MemorySystem": "memory",
-    "ParallelPort": "parallel_port",
-    "RaiseSpl": "cpu",
-    "Region": "memory",
-    "SetSpl": "cpu",
-    "VoiceCommunicationsAdapter": "vca",
-    "Wait": "cpu",
-    "calibration": "calibration",
-})

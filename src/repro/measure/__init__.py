@@ -19,14 +19,3 @@ measurement noise:
   edge capture, but no histogramming depth (the reason the paper built the
   PC/AT tool).
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "Histogram": "histogram",
-    "LogicAnalyzer": "logic_analyzer",
-    "PcatRecord": "pcat",
-    "PcatTimestamper": "pcat",
-    "PseudoDriverTracer": "pseudo_driver",
-    "TapMonitor": "tap",
-})

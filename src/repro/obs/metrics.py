@@ -158,7 +158,7 @@ class MetricsRegistry:
         parts: list[str] = []
         if self.counters:
             parts.append(
-                _table(
+                format_table(
                     "counters",
                     ["name", "value", "unit"],
                     [
@@ -169,7 +169,7 @@ class MetricsRegistry:
             )
         if self.gauges:
             parts.append(
-                _table(
+                format_table(
                     "gauges",
                     ["name", "value", "min", "max", "n", "unit"],
                     [
@@ -205,7 +205,7 @@ class MetricsRegistry:
                     ]
                 )
             parts.append(
-                _table(
+                format_table(
                     "histograms",
                     ["name", "n", "mean", "std", "min", "max", "unit"],
                     rows,
@@ -224,7 +224,8 @@ def _num(value: Optional[float]) -> str:
     return str(value)
 
 
-def _table(title: str, headers: list[str], rows: list[list[str]]) -> str:
+def format_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
+    """A fixed-width text table."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):

@@ -16,10 +16,3 @@ argument rather than assert it, this package implements the stock stack:
 * :mod:`~repro.protocols.stack` -- the per-host stack gluing the layers to
   the Token Ring driver's LLC input, plus a small socket API.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "NetStack": "stack",
-    "Socket": "stack",
-})

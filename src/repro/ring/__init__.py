@@ -11,17 +11,3 @@ ring is idle, and simulation events are spent only on captures, releases,
 deliveries and purges.  This keeps a 70-station ring cheap to simulate while
 preserving access-delay and priority semantics.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "ActiveMonitor": "monitor",
-    "BROADCAST": "frames",
-    "Frame": "frames",
-    "FrameClass": "frames",
-    "InsertionProcess": "monitor",
-    "RingStation": "station",
-    "TokenRing": "network",
-    "mac_frame": "frames",
-    "wire_time_ns": "frames",
-})

@@ -19,15 +19,3 @@ latency.  The model provides:
   baselines, used by the stock-UNIX relay and the control-machine keepalive
   traffic the paper blames for Figure 5-2's second mode.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "CopyLedger": "copy",
-    "Kernel": "kernel",
-    "Mbuf": "mbuf",
-    "MbufChain": "mbuf",
-    "MbufExhausted": "mbuf",
-    "MbufPool": "mbuf",
-    "cpu_copy": "copy",
-})

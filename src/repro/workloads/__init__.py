@@ -13,18 +13,3 @@ video) as source configurations; :mod:`~repro.workloads.churn` adds the
 session-level demand -- seeded arrival/departure schedules the control
 plane (:mod:`repro.core.control`) admits, queues, or rejects.
 """
-
-from repro import _lazy_facade
-
-__getattr__, __dir__, __all__ = _lazy_facade(__name__, {
-    "BackgroundTraffic": "background",
-    "CD_AUDIO": "media",
-    "COMPRESSED_VIDEO": "media",
-    "ChurnDriver": "churn",
-    "ChurnSchedule": "churn",
-    "HOLD_FOREVER": "churn",
-    "LightweightSender": "background",
-    "MediaSource": "media",
-    "SessionRequest": "churn",
-    "TELEPHONE_AUDIO": "media",
-})

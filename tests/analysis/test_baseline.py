@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis import apply_baseline, load_baseline, write_baseline
+from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.findings import Finding
 
 

@@ -4,9 +4,9 @@ that caching never changes results -- it only skips work."""
 import json
 import textwrap
 
-from repro.analysis import run_lint_v2
 from repro.analysis.cache import SummaryCache, analyzer_fingerprint, content_hash
 from repro.analysis.graph import summarize_module
+from repro.analysis.v2 import run_lint_v2
 
 SOURCE = textwrap.dedent(
     """

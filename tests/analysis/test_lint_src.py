@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import load_baseline, run_lint_v2
+from repro.analysis.baseline import load_baseline
+from repro.analysis.v2 import run_lint_v2
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

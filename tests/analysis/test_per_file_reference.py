@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import iter_python_files, lint_source, run_lint_v2
+from repro.analysis.engine import iter_python_files, lint_source
+from repro.analysis.v2 import run_lint_v2
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

@@ -8,8 +8,9 @@ the compliant spelling stays clean.
 
 import textwrap
 
-from repro.analysis import RULES, lint_source
+from repro.analysis.engine import lint_source
 from repro.analysis.layering import package_of
+from repro.analysis.rules import RULES
 
 
 def lint(source: str, path: str = "repro/core/example.py"):
@@ -483,12 +484,12 @@ def test_rollup_module_is_observe_only_by_name():
 
 
 def test_rollup_may_import_fleet_and_reporting():
-    # Same-package imports (the journal loader, the table renderer) are
-    # exactly what the rollup is for.
+    # The journal loader and the table renderer (an observe-only obs
+    # module) are exactly what the rollup is for.
     assert rule_ids(
         """
         from repro.experiments.fleet import Journal
-        from repro.experiments.reporting import format_table
+        from repro.obs.metrics import format_table
         """,
         path="repro/experiments/rollup.py",
     ) == []

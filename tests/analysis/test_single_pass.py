@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import dataflow, engine, graph, run_lint_v2
+from repro.analysis import dataflow, engine, graph
 from repro.analysis.checkers import _COLLECTED_NODES, LEAF_NODES, DeterminismVisitor
 from repro.analysis.engine import (
     _SUPPRESS_RE,
@@ -36,6 +36,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.graph import ModuleSummary, module_name, summarize_module
 from repro.analysis.layering import check_layering
+from repro.analysis.v2 import run_lint_v2
 
 ROOT = Path(__file__).resolve().parents[2]
 IMPORTS = (ast.Import, ast.ImportFrom)

@@ -8,11 +8,11 @@ finding historically drifted onto different lines.
 
 import textwrap
 
-from repro.analysis import lint_source, run_lint_v2
 from repro.analysis.checkers import def_anchor_line
+from repro.analysis.engine import lint_source
 from repro.analysis.graph import ProjectGraph, summarize_module
 from repro.analysis.taint import check_taint
-from repro.analysis.v2 import check_unused_suppressions
+from repro.analysis.v2 import check_unused_suppressions, run_lint_v2
 
 
 def v2_over(tmp_path, source: str, name: str = "mod.py"):

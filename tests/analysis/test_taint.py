@@ -9,9 +9,9 @@ the incremental engine with only the edited file re-analyzed.
 import textwrap
 from pathlib import Path
 
-from repro.analysis import run_lint_v2
 from repro.analysis.graph import ProjectGraph, summarize_module
 from repro.analysis.taint import check_taint, propagate_impurity
+from repro.analysis.v2 import run_lint_v2
 
 
 def summarize(source: str, path: str):

@@ -6,7 +6,8 @@ from repro.core.presentation import PresentationMachine
 from repro.core.session import CTMSSession
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.sim import MS, SEC, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.units import MS, SEC
 
 
 RATE = 2000 / 0.012  # the prototype stream

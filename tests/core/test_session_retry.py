@@ -6,7 +6,8 @@ from repro.core.session import CTMSSession, SessionEstablishTimeout
 from repro.drivers.token_ring import CTMS_CONTROL_PROTOCOL
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injectors import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sim.units import MS, SEC
 
 

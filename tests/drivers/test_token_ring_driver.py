@@ -198,7 +198,7 @@ def test_iocm_config_requires_the_card():
     from repro.hardware.machine import Machine
     from repro.hardware.token_ring_adapter import TokenRingAdapter
     from repro.ring.network import TokenRing
-    from repro.sim import Simulator
+    from repro.sim.engine import Simulator
     from repro.unix.kernel import Kernel
 
     sim = Simulator()

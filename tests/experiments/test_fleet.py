@@ -33,7 +33,8 @@ from repro.experiments.fleet import (
 )
 from repro.experiments.validation import validation_fleet_spec
 from repro.faults.workers import WorkerFaultSpec
-from repro.obs import fleet_counts, fleet_summary, fleetstats
+from repro.obs import fleetstats
+from repro.obs.fleetstats import fleet_counts, fleet_summary
 from repro.sim.units import SEC
 
 

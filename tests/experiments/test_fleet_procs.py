@@ -19,7 +19,8 @@ import pytest
 from repro.experiments.chaos import chaos_fleet_spec
 from repro.experiments.fleet import Journal, RetryPolicy, journal_path, run_fleet
 from repro.faults.workers import WorkerFaultSpec
-from repro.obs import fleet_counts, fleetstats
+from repro.obs import fleetstats
+from repro.obs.fleetstats import fleet_counts
 from repro.sim.units import SEC
 
 pytestmark = pytest.mark.fleet

@@ -6,11 +6,12 @@ import pytest
 
 from repro.experiments import reporting
 from repro.measure.histogram import Histogram
+from repro.obs.metrics import format_table
 from repro.sim.units import MS, US
 
 
 def test_format_table_aligns_columns():
-    text = reporting.format_table(
+    text = format_table(
         "Title", ["a", "bb"], [["1", "2"], ["333", "4"]]
     )
     lines = text.splitlines()

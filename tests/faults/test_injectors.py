@@ -5,7 +5,8 @@ import pytest
 from repro.core.session import CTMSSession
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injectors import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sim.units import MS, SEC
 
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.faults import StreamInvariantMonitor
+from repro.faults.invariants import StreamInvariantMonitor
 
 
 def reference_worst_gap(arrivals, windows):

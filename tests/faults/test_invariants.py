@@ -7,13 +7,15 @@ from repro.core.session import CTMSSession
 from repro.core.stream import StreamStats
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.faults import FaultInjector, FaultPlan, StreamInvariantMonitor
+from repro.faults.injectors import FaultInjector
 from repro.faults.invariants import (
     FAILOVER_GAP,
     INTER_ARRIVAL,
     LOSS_FRACTION,
+    StreamInvariantMonitor,
     THROUGHPUT,
 )
+from repro.faults.plan import FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, SEC
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.hardware.cpu import CPU, Exec, SetSpl, Wait
-from repro.sim import MS, SimulationError, Simulator, US
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.units import MS, US
 
 
 def make_cpu(irq_entry=0, ctx=0):

@@ -11,7 +11,8 @@ from repro.hardware.disk import (
 )
 from repro.hardware.machine import Machine
 from repro.hardware.memory import Region
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
+from repro.sim.units import MS, SEC, US
 
 
 def build():

@@ -12,7 +12,8 @@ from repro.hardware.memory import (
     Region,
     cpu_copy_cost,
 )
-from repro.sim import MS, Simulator, US
+from repro.sim.engine import Simulator
+from repro.sim.units import MS, US
 
 
 def test_paper_copy_rate_sys_to_iocm():

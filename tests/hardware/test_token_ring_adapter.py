@@ -7,8 +7,9 @@ from repro.hardware.memory import Region
 from repro.hardware.token_ring_adapter import TokenRingAdapter
 from repro.ring.frames import Frame
 from repro.ring.network import TokenRing
-from repro.sim import MS, SEC, SimulationError, Simulator, US
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.units import MS, SEC, US
 from repro.unix.copy import CopyLedger
 
 

@@ -7,8 +7,9 @@ from repro.hardware.cpu import CPU, Exec
 from repro.hardware.machine import Machine
 from repro.hardware.parallel_port import ParallelPort
 from repro.hardware.vca import VoiceCommunicationsAdapter
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.units import MS, SEC, US
 
 
 def make_vca(jitter=calibration.VCA_INTERRUPT_JITTER):

@@ -12,8 +12,9 @@ from repro.measure.pcat import (
     PcatTimestamper,
     match_by_packet_number,
 )
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.units import MS, SEC, US
 
 
 def build(seed=4):

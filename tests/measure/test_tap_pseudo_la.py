@@ -10,7 +10,8 @@ from repro.measure.tap import TapMonitor
 from repro.ring.frames import Frame, mac_frame
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
+from repro.sim.units import MS, SEC, US
 
 
 def build_ring_with_tap():

@@ -15,7 +15,8 @@ from repro.ring.detailed import DetailedTokenRing
 from repro.ring.frames import Frame
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import MS, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.units import MS
 
 N_STATIONS = 8
 #: One rotation of phase uncertainty plus token times -- the agreement the

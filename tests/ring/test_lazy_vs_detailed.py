@@ -12,7 +12,8 @@ from repro.ring.detailed import DetailedTokenRing
 from repro.ring.frames import Frame
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
+from repro.sim.units import MS, SEC, US
 
 N_STATIONS = 8
 

@@ -7,9 +7,9 @@ from repro.ring.frames import Frame
 from repro.ring.monitor import ActiveMonitor, InsertionProcess
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import SEC, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.units import HOUR, MINUTE, MS
+from repro.sim.units import HOUR, MINUTE, MS, SEC
 
 
 def build(mac_util=0.002, insertions_per_day=0.0):

@@ -6,7 +6,8 @@ from repro.hardware import calibration
 from repro.ring.frames import Frame
 from repro.ring.network import TX_LOST_IN_PURGE, TX_OK, TokenRing
 from repro.ring.station import RingStation
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
+from repro.sim.units import MS, SEC, US
 
 
 def build_ring(n_attached=3, total=70):

@@ -4,7 +4,7 @@ from repro.ring.frames import Frame
 from repro.ring.monitor import ActiveMonitor
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.units import HOUR, MS
 

@@ -5,9 +5,9 @@ import pytest
 from repro.ring.monitor import ActiveMonitor
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import SEC, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.units import HOUR
+from repro.sim.units import HOUR, SEC
 
 
 def test_soft_errors_purge_at_the_configured_rate():

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.sim import (
-    MS,
-    Process,
-    ProcessKilled,
-    SimulationError,
-    Simulator,
-    US,
-)
+from repro.sim.engine import Process, ProcessKilled, SimulationError, Simulator
+from repro.sim.units import MS, US
 
 
 def test_schedule_runs_in_time_order():

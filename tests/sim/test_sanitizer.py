@@ -8,13 +8,9 @@ whose end state depends on same-instant FIFO order.
 
 import pytest
 
-from repro.sim import (
-    OrderRaceError,
-    RandomStreams,
-    SimulationError,
-    Simulator,
-    check_tiebreak_invariance,
-)
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.rng import RandomStreams
+from repro.sim.sanitizer import OrderRaceError, check_tiebreak_invariance
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,22 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import MS, SEC, US, format_time, from_us, to_ms, to_us
 from repro.sim.rng import RandomStreams
-from repro.sim.units import DAY, HOUR, MINUTE, from_ms, from_sec, to_sec
+from repro.sim.units import (
+    DAY,
+    HOUR,
+    MINUTE,
+    MS,
+    SEC,
+    US,
+    format_time,
+    from_ms,
+    from_sec,
+    from_us,
+    to_ms,
+    to_sec,
+    to_us,
+)
 
 
 def test_unit_ratios():

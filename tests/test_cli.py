@@ -95,6 +95,49 @@ def test_seeds_below_one_is_a_usage_error(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chaos", "--seconds", "1", "--intensities", "1", "1.0"],
+        ["chaos", "--jobs", "1", "--seconds", "1", "--intensities", "1", "1"],
+    ],
+    ids=["serial", "fleet"],
+)
+def test_duplicate_intensities_are_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    """A repeated intensity would print its section twice (serial) or
+    crash on duplicate fleet point keys; both paths reject it up front."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--intensities: values must be distinct" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chaos", "--jobs", "1", "--smoke", "--seconds", "1"], "--smoke cannot"),
+        (["chaos", "--seeds", "2", "--smoke", "--seconds", "1"], "--smoke cannot"),
+        (["chaos", "--resume", "--smoke", "--seconds", "1"], "--smoke cannot"),
+        (["chaos", "--smoke", "--intensities", "1"], "--smoke runs one fixed intensity"),
+        (["chaos", "--scenario", "failover", "--seconds", "1", "--intensities", "1"],
+         "--intensities applies only to --scenario survival"),
+    ],
+    ids=["smoke-jobs", "smoke-seeds", "smoke-resume", "smoke-intensities",
+         "failover-intensities"],
+)
+def test_ignored_chaos_flag_is_a_usage_error(argv, message, capsys, tmp_path, monkeypatch):
+    """A flag the chosen path would silently ignore exits 2 before
+    anything runs or is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"repro chaos: error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------------
 # repro lint
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ from repro.measure.pcat import PcatTimestamper
 from repro.ring.frames import Frame
 from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.units import MS, SEC, US
 
 # ---------------------------------------------------------------------------
 # Token Ring invariants

@@ -6,8 +6,9 @@ from repro.hardware import calibration
 from repro.hardware.cpu import Exec
 from repro.hardware.machine import Machine
 from repro.hardware.memory import Region
-from repro.sim import MS, SEC, Simulator, US
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.units import MS, SEC, US
 from repro.unix.copy import CopyLedger, cpu_copy
 from repro.unix.kernel import Kernel
 from repro.unix.process import UserProcess

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.unix.mbuf import (
     CLUSTER_DATA_BYTES,
     MBUF_DATA_BYTES,
