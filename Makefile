@@ -2,7 +2,7 @@ PYTHON ?= python
 
 export PYTHONPATH := src
 
-.PHONY: test lint chaos chaos-par bench-lint examples trace-demo
+.PHONY: test lint chaos chaos-par reproduce bench-lint examples trace-demo
 
 # Static analysis first: a determinism/layering violation fails fast,
 # before the (slower) simulation suites run.
@@ -35,9 +35,13 @@ chaos-par:
 # to end and per layer:
 #   python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0|1
 
-# The paper reproductions under benchmarks/ (every figure and in-text
-# result; tables land in results/) run as plain pytest:
-#   $(PYTHON) -m pytest benchmarks/ --durations=0
+# The paper reproduction: every figure and in-text result under
+# benchmarks/ regenerates its table in results/, then any difference from
+# the committed tables fails.  The paper's numbers and the bands the
+# figure benchmarks assert live in src/repro/experiments/claims.py.
+reproduce:
+	$(PYTHON) -m pytest benchmarks/
+	git diff --exit-code -- results/
 
 # Lint engine benchmark: cold vs warm-cache wall-clock over src/
 # (writes BENCH_lint.json).

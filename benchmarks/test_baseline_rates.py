@@ -12,36 +12,17 @@ the CTMS direct path at the failing rate.
 """
 
 from repro.core.session import CTMSSession
-from repro.experiments.baseline import run_rate_comparison, run_stock_relay
+from repro.experiments.baseline import rate_comparison_table, run_rate_comparison
 from repro.experiments.reporting import emit
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import test_case_b as scenario_b
-from repro.obs.metrics import format_table
 from repro.sim.units import SEC
 
 
 def test_baseline_16_works_150_fails():
     results = run_rate_comparison(duration_ns=25 * SEC, seed=3)
 
-    rows = []
-    for rate, r in sorted(results.items()):
-        rows.append(
-            [
-                f"{rate // 1000} KB/s",
-                f"{r.delivered_fraction * 100:.1f}%",
-                f"{r.glitch_rate_per_sec():.2f}/s",
-                f"{r.achieved_bytes_per_sec() / 1000:.1f} KB/s",
-                "works" if r.works() else "FAILS",
-            ]
-        )
-    emit(
-        "baseline_rates",
-        format_table(
-            "Section 1: the stock UNIX relay (user-level process, UDP/IP)",
-            ["offered rate", "delivered", "glitches", "achieved", "verdict"],
-            rows,
-        ),
-    )
+    emit("baseline_rates", rate_comparison_table(results))
 
     low, high = results[16_000], results[150_000]
     # "worked extremely well"

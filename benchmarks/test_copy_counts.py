@@ -13,34 +13,15 @@ interface), and the Token Ring adapter is, so the measured expectations are
 """
 
 from repro.core.direct import TransferPath, paper_claims, predicted_copies
-from repro.experiments.copies import measure_all
+from repro.experiments.copies import copies_table, measure_all
 from repro.experiments.reporting import emit
-from repro.obs.metrics import format_table
 from repro.sim.units import SEC
 
 
 def test_copy_counts_match_section_2():
     measured = measure_all(duration_ns=10 * SEC, seed=5)
 
-    rows = []
-    for m in measured:
-        rows.append(
-            [
-                m.path.value,
-                f"{m.model.cpu_copies} cpu + {m.model.dma_copies} dma",
-                f"{m.cpu_per_packet:.2f} cpu + {m.dma_per_packet:.2f} dma",
-                "yes" if m.matches_model() else "NO",
-            ]
-        )
-    emit(
-        "copy_counts",
-        format_table(
-            "Section 2: data copies per packet, device to device "
-            "(VCA source has no DMA; Token Ring adapter does)",
-            ["transfer path", "model", "measured", "match"],
-            rows,
-        ),
-    )
+    emit("copy_counts", copies_table(measured))
 
     by_path = {m.path: m for m in measured}
     for m in measured:

@@ -8,43 +8,27 @@ Monitor purges the ring ~10 times back to back).
 The paper's two outliers come from a 117-minute run at ~1 insertion/hour;
 to keep the benchmark minutes-scale we run 6 simulated minutes with the
 insertion rate raised proportionally (about one insertion per 2 minutes),
-which preserves the *per-insertion* signature the paper describes.
+which preserves the *per-insertion* signature the paper describes.  The
+paper's numbers and asserted bands: ``repro.experiments.claims.FIG_5_4``.
 """
 
-from repro.experiments.reporting import emit, figure_5_4_report
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenarios import test_case_b as scenario_b
-from repro.sim.units import MINUTE, MS, SEC, US
-
-DURATION = 6 * MINUTE
-#: ~1 insertion per 2 simulated minutes (paper: ~1/hour over 117 minutes).
-INSERTIONS_PER_DAY = 24 * 30.0
+from repro.experiments.claims import FIG_5_4
+from repro.experiments.reporting import emit
+from repro.sim.units import MS
 
 
 def test_fig_5_4_test_case_b_with_insertions():
-    scenario = scenario_b(
-        duration_ns=DURATION, seed=2, insertions_per_day=INSERTIONS_PER_DAY
-    )
-    result = run_scenario(scenario)
+    result = FIG_5_4.run()
     h7 = result.histograms[7]
     inserter = result.testbed.inserter
-    emit(
-        "fig_5_4",
-        figure_5_4_report(h7, inserter.stats_insertions, DURATION / MINUTE / 1),
-    )
+    emit("fig_5_4", FIG_5_4.report(result))
 
     assert h7.count > 20_000
-    # Minimum ~10750us.
-    assert abs(h7.min() - 10_750 * US) <= 220 * US
-    # Peak near 10900us holding the majority (paper 76%).
-    peak = h7.primary_mode()
-    assert abs(peak - 10_900 * US) <= 400 * US
-    frac_peak = h7.fraction_within(peak, 160 * US)
-    assert 0.6 <= frac_peak <= 0.95
-    # A substantial 11-15ms shoulder from the loaded ring (paper 21.5%).
-    assert h7.fraction_between(11_060 * US, 15_000 * US) >= 0.05
+    for claim, value in FIG_5_4.banded(h7):
+        assert claim.holds(value), (claim.label, value, claim.band)
     # Ring insertions produce ~100ms outliers: at least one sample in the
-    # 80-150ms band, and the count is on the order of the insertion count.
+    # 80-150ms band (wider than the report's 100-140ms row), and the count
+    # is on the order of the insertion count.
     assert inserter.stats_insertions >= 1
     outliers = h7.count_between(80 * MS, 150 * MS)
     assert outliers >= 1

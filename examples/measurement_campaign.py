@@ -15,11 +15,8 @@ the distributions behind them.
 Run:  python examples/measurement_campaign.py          (about a minute)
 """
 
-from repro.experiments.reporting import (
-    figure_5_2_report,
-    figure_5_3_report,
-    histogram_summary_table,
-)
+from repro.experiments.claims import FIG_5_2, FIG_5_3
+from repro.experiments.reporting import histogram_summary_table
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import test_case_a, test_case_b
 from repro.obs.flight import FlightRecorder
@@ -42,9 +39,9 @@ print(histogram_summary_table(result_a.histograms, "Test Case A"))
 print()
 print(histogram_summary_table(result_b.histograms, "Test Case B"))
 print()
-print(figure_5_3_report(result_a.histograms[7]))
+print(FIG_5_3.report(result_a))
 print()
-print(figure_5_2_report(result_b.histograms[6]))
+print(FIG_5_2.report(result_b))
 print()
 print("Delivery check:")
 for name, result in (("A", result_a), ("B", result_b)):

@@ -380,19 +380,3 @@ class DeterminismVisitor(ast.NodeVisitor):
             if isinstance(node.func, ast.Attribute) and node.func.attr == "keys":
                 return ".keys()"
         return None
-
-
-def check_source(
-    source: str,
-    path: str,
-    *,
-    rng_home: bool = False,
-    process_home: bool = False,
-) -> list[Finding]:
-    """Run the determinism/units pass over one module's source."""
-    tree = ast.parse(source, filename=path)
-    visitor = DeterminismVisitor(
-        path, rng_home=rng_home, process_home=process_home
-    )
-    visitor.visit(tree)
-    return visitor.findings

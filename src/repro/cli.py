@@ -27,50 +27,14 @@ from pathlib import Path
 from repro.sim.units import MINUTE, SEC
 
 
-def _cmd_fig5_2(args) -> int:
-    from repro.experiments.reporting import figure_5_2_report
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenarios import test_case_b
+def _cmd_figure(args) -> int:
+    """``fig5-2``/``fig5-3``/``fig5-4``: one paper figure, paper vs measured."""
+    from repro.experiments.claims import FIGURES
 
-    result = run_scenario(
-        test_case_b(duration_ns=args.seconds * SEC, seed=args.seed)
-    )
-    print(figure_5_2_report(result.histograms[6]))
-    return 0
-
-
-def _cmd_fig5_3(args) -> int:
-    from repro.experiments.reporting import figure_5_3_report
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenarios import test_case_a
-
-    result = run_scenario(
-        test_case_a(duration_ns=args.seconds * SEC, seed=args.seed)
-    )
-    print(figure_5_3_report(result.histograms[7]))
-    return 0
-
-
-def _cmd_fig5_4(args) -> int:
-    from repro.experiments.reporting import figure_5_4_report
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenarios import test_case_b
-
-    duration = args.minutes * MINUTE
-    result = run_scenario(
-        test_case_b(
-            duration_ns=duration,
-            seed=args.seed,
-            insertions_per_day=24 * 60.0 / max(1, args.minutes // 3),
-        )
-    )
-    print(
-        figure_5_4_report(
-            result.histograms[7],
-            result.testbed.inserter.stats_insertions,
-            args.minutes,
-        )
-    )
+    figure = FIGURES[args.command]
+    minutes = getattr(args, "minutes", None)  # fig5-4 is sized in minutes
+    duration = minutes * MINUTE if minutes else args.seconds * SEC
+    print(figure.report(figure.run(duration, args.seed)))
     return 0
 
 
@@ -93,31 +57,17 @@ def _cmd_histograms(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    from repro.experiments.baseline import run_rate_comparison
+    from repro.experiments.baseline import rate_comparison_table, run_rate_comparison
 
     results = run_rate_comparison(duration_ns=args.seconds * SEC, seed=args.seed)
-    print("Stock UNIX relay (Section 1):")
-    for rate, r in sorted(results.items()):
-        verdict = "works" if r.works() else "FAILS COMPLETELY"
-        print(
-            f"  {rate // 1000:>4} KB/s: delivered "
-            f"{r.delivered_fraction * 100:5.1f}%, "
-            f"{r.glitch_rate_per_sec():5.2f} glitches/s -> {verdict}"
-        )
+    print(rate_comparison_table(results))
     return 0
 
 
 def _cmd_copies(args) -> int:
-    from repro.experiments.copies import measure_all
+    from repro.experiments.copies import copies_table, measure_all
 
-    print("Data copies per packet (Section 2):")
-    for m in measure_all(duration_ns=args.seconds * SEC, seed=args.seed):
-        status = "ok" if m.matches_model() else "MISMATCH"
-        print(
-            f"  {m.path.value:>16}: {m.cpu_per_packet:.2f} CPU + "
-            f"{m.dma_per_packet:.2f} DMA  (model "
-            f"{m.model.cpu_copies}+{m.model.dma_copies})  [{status}]"
-        )
+    print(copies_table(measure_all(duration_ns=args.seconds * SEC, seed=args.seed)))
     return 0
 
 
@@ -399,9 +349,9 @@ def _cmd_quickstart(args) -> int:
 
 
 COMMANDS = {
-    "fig5-2": (_cmd_fig5_2, "Figure 5-2: Test B transmit-path histogram"),
-    "fig5-3": (_cmd_fig5_3, "Figure 5-3: Test A tx-to-rx histogram"),
-    "fig5-4": (_cmd_fig5_4, "Figure 5-4: Test B tx-to-rx with ring insertions"),
+    "fig5-2": (_cmd_figure, "Figure 5-2: Test B transmit-path histogram"),
+    "fig5-3": (_cmd_figure, "Figure 5-3: Test A tx-to-rx histogram"),
+    "fig5-4": (_cmd_figure, "Figure 5-4: Test B tx-to-rx with ring insertions"),
     "histograms": (_cmd_histograms, "All seven histograms for one test case"),
     "baseline": (_cmd_baseline, "Stock UNIX relay at 16 vs 150 KB/s"),
     "copies": (_cmd_copies, "Copy counts for the three transfer paths"),
@@ -413,6 +363,10 @@ COMMANDS = {
     "metrics": (_cmd_metrics, "Per-layer metrics registry for one test case"),
     "lint": (_cmd_lint, "ctms-lint: determinism & layering static analysis"),
 }
+
+
+#: ``chaos --seconds`` when not given (smoke runs have their own duration).
+CHAOS_SECONDS = 8
 
 
 def _int_at_least(text: str, floor: int) -> int:
@@ -461,6 +415,8 @@ def _chaos_flag_conflict(args) -> str | None:
     mid-run, else None; ``main`` turns it into a usage error (exit 2)."""
     if args.smoke and (args.jobs >= 1 or args.seeds > 1 or args.resume):
         return "--smoke cannot be combined with --jobs, --seeds or --resume"
+    if args.smoke and args.seconds is not None:
+        return "--smoke runs a fixed duration; drop --seconds"
     if not args.intensities:
         return None
     if args.scenario == "failover":
@@ -558,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fig5-4":
             p.add_argument("--minutes", type=positive_int, default=6)
         elif name == "chaos":
-            p.add_argument("--seconds", type=positive_int, default=8)
+            # None until parsed, so --smoke can reject an explicit value.
+            p.add_argument("--seconds", type=positive_int, default=None)
         else:
             p.add_argument("--seconds", type=positive_int, default=30)
         if name == "histograms":
@@ -649,6 +606,8 @@ def main(argv=None) -> int:
         conflict = _chaos_flag_conflict(args)
         if conflict:
             parser.exit(2, f"{parser.prog} chaos: error: {conflict}\n")
+        if args.seconds is None:
+            args.seconds = CHAOS_SECONDS
     fn, _help = COMMANDS[args.command]
     return fn(args)
 

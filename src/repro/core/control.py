@@ -255,10 +255,6 @@ class FailoverRecord:
     #: Packet number the replica resumed at (sink high-water mark).
     resume_from: int = 0
 
-    def gap_ns(self, now_ns: int) -> int:
-        end = self.resumed_at_ns if self.resumed_at_ns is not None else now_ns
-        return end - self.gap_start_ns
-
 
 def first_arrival_after(arrivals: list[int], t_ns: int) -> Optional[int]:
     """The first sink arrival strictly after ``t_ns``, or ``None`` if none has come yet.

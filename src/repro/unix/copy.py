@@ -58,9 +58,6 @@ class CopyLedger:
     def dma_copy_count(self) -> int:
         return sum(rec.copies for rec in self.dma.values())
 
-    def total_copy_count(self) -> int:
-        return self.cpu_copy_count() + self.dma_copy_count()
-
     def cpu_bytes(self) -> int:
         return sum(rec.bytes for rec in self.cpu.values())
 

@@ -1,10 +1,11 @@
-"""Tests for the report formatting helpers."""
+"""Tests for the report formatting helpers and the figure reports."""
 
 import os
 
 import pytest
 
 from repro.experiments import reporting
+from repro.experiments.claims import FIG_5_2, FIG_5_3, FIG_5_4
 from repro.measure.histogram import Histogram
 from repro.obs.metrics import format_table
 from repro.sim.units import MS, US
@@ -39,7 +40,7 @@ def make_h7(n=1000, mean_us=10_800):
 
 
 def test_figure_5_3_report_mentions_paper_numbers():
-    text = reporting.figure_5_3_report(make_h7())
+    text = FIG_5_3.render(make_h7())
     assert "10740us" in text
     assert "10894us" in text
     assert "98%" in text
@@ -53,7 +54,7 @@ def test_figure_5_2_report_structure():
     samples = [round(rng.gauss(2600, 150)) * US for _ in range(680)]
     samples += [round(rng.gauss(9400, 300)) * US for _ in range(150)]
     samples += [round(rng.uniform(3000, 9000)) * US for _ in range(170)]
-    text = reporting.figure_5_2_report(Histogram(samples, name="h6"))
+    text = FIG_5_2.render(Histogram(samples, name="h6"))
     assert "68%" in text and "15%" in text and "16.5%" in text
     assert "within 500us of 2600us" in text
 
@@ -62,7 +63,7 @@ def test_figure_5_4_report_counts_outliers():
     h = make_h7()
     h.add(120 * MS)
     h.add(128 * MS)
-    text = reporting.figure_5_4_report(h, insertions=2, duration_min=6.0)
+    text = FIG_5_4.render(h, minutes=6.0, insertions=2)
     assert "2 in 6 min (2 insertions)" in text
     assert "10750us" in text
 

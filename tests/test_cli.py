@@ -26,8 +26,10 @@ def test_quickstart_runs(capsys):
 
 def test_copies_runs(capsys):
     assert main(["copies", "--seconds", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "user_process" in out and "[ok]" in out
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    paths = ["user_process", "direct_driver", "pointer_passing"]
+    matched = {row[0]: row[-1] for row in rows if row and row[0] in paths}
+    assert matched == dict.fromkeys(paths, "yes")  # the table's match column
 
 
 def test_fig5_3_runs(capsys):
@@ -123,9 +125,12 @@ def test_duplicate_intensities_are_a_usage_error(argv, capsys, tmp_path, monkeyp
         (["chaos", "--smoke", "--intensities", "1"], "--smoke runs one fixed intensity"),
         (["chaos", "--scenario", "failover", "--seconds", "1", "--intensities", "1"],
          "--intensities applies only to --scenario survival"),
+        (["chaos", "--smoke", "--seconds", "1"], "--smoke runs a fixed duration"),
+        (["chaos", "--scenario", "failover", "--smoke", "--seconds", "8"],
+         "--smoke runs a fixed duration"),
     ],
     ids=["smoke-jobs", "smoke-seeds", "smoke-resume", "smoke-intensities",
-         "failover-intensities"],
+         "failover-intensities", "smoke-seconds", "failover-smoke-seconds"],
 )
 def test_ignored_chaos_flag_is_a_usage_error(argv, message, capsys, tmp_path, monkeypatch):
     """A flag the chosen path would silently ignore exits 2 before
