@@ -37,8 +37,10 @@ chaos-par:
 
 # The paper reproduction: every figure and in-text result under
 # benchmarks/ regenerates its table in results/, then any difference from
-# the committed tables fails.  The paper's numbers and the bands the
-# figure benchmarks assert live in src/repro/experiments/claims.py.
+# the committed tables fails.  Each results/ table is one entry in
+# src/repro/experiments/claims.py (its run, renderer, paper numbers and
+# asserted bands); four are extensions with no paper number (load sweep,
+# multi-stream, model validation, ring priority under load).
 reproduce:
 	$(PYTHON) -m pytest benchmarks/
 	git diff --exit-code -- results/

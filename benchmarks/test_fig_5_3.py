@@ -1,8 +1,6 @@
-"""FIG-5-3: Test Case A histogram 7 -- transmitter-to-receiver times.
-
-Paper: minimum 10740 us; 98% of samples within 160 us of the 10894 us mean;
-the remaining 2% spread right of the mean, extending to 14600 us.
-The paper's numbers and asserted bands: ``repro.experiments.claims.FIG_5_3``.
+"""FIG-5-3: Test Case A histogram 7 -- transmitter-to-receiver times:
+a tight peak with a short right tail.  The paper's numbers and asserted
+bands: ``repro.experiments.claims.FIG_5_3``.
 """
 
 from repro.experiments.claims import FIG_5_3
@@ -13,10 +11,10 @@ from repro.sim.units import US
 def test_fig_5_3_test_case_a():
     result = FIG_5_3.run()
     h7 = result.histograms[7]
-    emit("fig_5_3", FIG_5_3.report(result))
+    emit(FIG_5_3.name, FIG_5_3.report(result))
 
     assert h7.count > 4000
-    for claim, value in FIG_5_3.banded(h7):
+    for claim, value in FIG_5_3.banded(result):
         assert claim.holds(value), (claim.label, value, claim.band)
     # A right tail exists.
     assert h7.max() > h7.mean() + 300 * US

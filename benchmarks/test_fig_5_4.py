@@ -1,14 +1,11 @@
 """FIG-5-4: Test Case B histogram 7 -- transmitter-to-receiver, loaded ring.
 
-Paper: minimum 10750 us; 76% within 160 us of the 10900 us peak; 21.5% in
-11060-15000 us; 2.49% in 15000-40050 us; and two exceptional points at
+Paper: a peak with a loaded-ring shoulder, and two exceptional points at
 120-130 ms explained as station insertions into the Token Ring (the Active
 Monitor purges the ring ~10 times back to back).
 
-The paper's two outliers come from a 117-minute run at ~1 insertion/hour;
-to keep the benchmark minutes-scale we run 6 simulated minutes with the
-insertion rate raised proportionally (about one insertion per 2 minutes),
-which preserves the *per-insertion* signature the paper describes.  The
+A 6-minute run with the insertion rate raised in proportion
+(``claims.insertions_per_day``) keeps the *per-insertion* signature.  The
 paper's numbers and asserted bands: ``repro.experiments.claims.FIG_5_4``.
 """
 
@@ -21,10 +18,10 @@ def test_fig_5_4_test_case_b_with_insertions():
     result = FIG_5_4.run()
     h7 = result.histograms[7]
     inserter = result.testbed.inserter
-    emit("fig_5_4", FIG_5_4.report(result))
+    emit(FIG_5_4.name, FIG_5_4.report(result))
 
     assert h7.count > 20_000
-    for claim, value in FIG_5_4.banded(h7):
+    for claim, value in FIG_5_4.banded(result):
         assert claim.holds(value), (claim.label, value, claim.band)
     # Ring insertions produce ~100ms outliers: at least one sample in the
     # 80-150ms band (wider than the report's 100-140ms row), and the count

@@ -1,139 +1,28 @@
-"""TOOLS: Section 5.2's instrument error budgets, reproduced.
-
-* Logic analyzer on the VCA IRQ line: the period is stable to ~500 ns
-  ("conclusive proof that the VCA interrupt source was completely solid").
-* Logic analyzer on IRQ-to-handler-entry: "Even while loading the Token
-  Ring and the local disk, the largest variation seen was 440 microseconds."
-* PC/AT timestamper against the bare IRQ line: "a 120 microsecond spread on
-  both sides of the 12 millisecond mean"; service loop worst case 60 us.
-* RT/PC pseudo-driver: clock granularity "only 122 microseconds".
+"""TOOLS: Section 5.2's instrument error budgets, reproduced: the logic
+analyzer ("conclusive proof that the VCA interrupt source was completely
+solid"; "the largest variation seen was 440 microseconds"), the PC/AT
+timestamper and the RT/PC pseudo-driver.  The paper's claims:
+``repro.experiments.claims.MEASUREMENT_TOOLS``.
 """
 
+from repro.experiments.claims import MEASUREMENT_TOOLS
 from repro.experiments.reporting import emit
-from repro.experiments.testbed import HostConfig, Testbed
 from repro.hardware import calibration
-from repro.hardware.cpu import Exec
-from repro.hardware.parallel_port import ParallelPort
-from repro.measure.histogram import Histogram
-from repro.measure.logic_analyzer import LogicAnalyzer
-from repro.measure.pcat import PcatTimestamper
-from repro.measure.pseudo_driver import PseudoDriverTracer
-from repro.obs.metrics import format_table
-from repro.sim.units import MS, SEC, US
-
-
-def _build_loaded_host(seed=9):
-    bed = Testbed(seed=seed, mac_utilization=0.004)
-    host = bed.add_host(HostConfig(name="probe-host", multiprogramming=True))
-    return bed, host
-
-
-def run_tool_characterization(duration_ns=30 * SEC):
-    bed, host = _build_loaded_host()
-    sim = bed.sim
-
-    # 1. Logic analyzer straight on the IRQ line.
-    analyzer = LogicAnalyzer(depth=8192)
-    analyzer.attach(host.vca_adapter.irq_listeners)
-
-    # 2. Handler-entry times (recorded exactly, as the analyzer's second
-    # probe on a handler-owned signal would).
-    entries = []
-
-    def handler():
-        entries.append(sim.now)
-        yield Exec(50 * US)
-
-    host.vca_adapter.attach_handler(handler)
-
-    # 3. PC/AT timestamper on the same IRQ line.
-    pcat = PcatTimestamper(sim, bed.rng)
-    pcat.start()
-    port = ParallelPort(sim, "irq-line")
-    pcat.connect(0, port)
-    count = {"n": 0}
-
-    def pulse(_t):
-        port.emit(count["n"] & 0x7F)
-        count["n"] += 1
-
-    host.vca_adapter.irq_listeners.append(pulse)
-
-    # 4. Pseudo-driver tracer on the handler entry.
-    tracer = PseudoDriverTracer(sim)
-    probe = tracer.probe("entry")
-    original = host.vca_adapter.handler_factory
-
-    def traced_handler():
-        intrusion = probe(count["n"])  # the recording procedure's cost
-        yield Exec(intrusion)
-        yield from original()
-
-    host.vca_adapter.attach_handler(traced_handler)
-
-    host.vca_adapter.start()
-    bed.run(duration_ns)
-    return bed, analyzer, entries, pcat, tracer
+from repro.sim.units import US
 
 
 def test_measurement_tool_error_budgets():
-    bed, analyzer, entries, pcat, tracer = run_tool_characterization()
+    tools = MEASUREMENT_TOOLS.run()
+    emit(MEASUREMENT_TOOLS.name, MEASUREMENT_TOOLS.report(tools))
 
-    # --- logic analyzer: VCA period stability -------------------------
-    deviation = analyzer.max_deviation_from(12 * MS)
-    assert 0 < deviation <= 2 * calibration.VCA_INTERRUPT_JITTER
-
-    # --- IRQ to handler entry under load --------------------------------
-    lat = [e - p for p, e in zip(analyzer.edges, entries)]
-    worst = max(lat)
-    base = calibration.IRQ_ENTRY_OVERHEAD
-    assert worst - base <= 440 * US  # the paper's bound
-    assert worst > min(lat)  # load produces real variation
-
-    # --- PC/AT error against the bare line ------------------------------
-    times = pcat.channel_times(0)
-    intervals = Histogram([b - a for a, b in zip(times, times[1:])])
-    spread_lo = 12 * MS - intervals.min()
-    spread_hi = intervals.max() - 12 * MS
-    budget = calibration.PCAT_EXPECTED_SPREAD + calibration.VCA_INTERRUPT_JITTER
-    assert spread_lo <= budget + 5 * US
-    assert spread_hi <= budget + 5 * US
-
-    # --- pseudo-driver: 122us quantization ------------------------------
-    granule = calibration.RTPC_CLOCK_GRANULARITY
-    assert tracer.times("entry")
-    assert all(t % granule == 0 for t in tracer.times("entry"))
-    quant_err = [a - q for q, a in zip(tracer.times("entry"), entries)]
-    assert all(0 <= e < granule + 500 * US for e in quant_err)
-
-    rows = [
-        ["logic analyzer: VCA period deviation", "~500 ns", f"{deviation} ns"],
-        [
-            "IRQ to handler entry, worst (loaded)",
-            "<= 440 us variation",
-            f"{(worst - base) / US:.0f} us over the {base // US} us floor",
-        ],
-        [
-            "PC/AT spread around 12 ms",
-            "+/- 120 us",
-            f"-{spread_lo / US:.0f} / +{spread_hi / US:.0f} us",
-        ],
-        [
-            "PC/AT service loop",
-            "60 us worst case",
-            f"{calibration.PCAT_LOOP_WORST_CASE // US} us (modeled)",
-        ],
-        [
-            "pseudo-driver clock granularity",
-            "122 us",
-            f"{granule // US} us (all stamps quantized)",
-        ],
-    ]
-    emit(
-        "measurement_tools",
-        format_table(
-            "Section 5.2: measurement tool error budgets",
-            ["quantity", "paper", "measured"],
-            rows,
-        ),
+    for claim, value in MEASUREMENT_TOOLS.banded(tools):
+        assert claim.holds(value), (claim.label, value, claim.band)
+    # Load produces real IRQ-to-entry variation.
+    assert max(tools.entry_latencies) > min(tools.entry_latencies)
+    # Each pseudo-driver stamp trails the true entry by less than a clock
+    # granule plus the recording procedure's intrusion.
+    assert tools.stamps
+    quant_err = [a - q for q, a in zip(tools.stamps, tools.entries)]
+    assert all(
+        0 <= e < calibration.RTPC_CLOCK_GRANULARITY + 500 * US for e in quant_err
     )

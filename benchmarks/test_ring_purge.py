@@ -1,114 +1,47 @@
 """PURGE: Ring Purge behaviour and the recovery options (Sections 4-5).
 
-Paper observations reproduced here:
-
-* insertions run at ~20/day and each causes a back-to-back burst of ~10
-  purges (~100-130 ms of dead ring);
-* a purge may lose exactly the frame in flight, and the stock adapter gives
-  the driver *no indication* -- "the sole source of dropped packets for
-  which no correction can be made";
-* the paper's shipped recovery: "allow for the loss of a single packet",
-  detect the gap at the sink, continue;
-* the paper's wished-for adapter (purge interrupt) enables retransmission
-  from the fixed DMA buffer, at the price of possible duplicates the
-  receiver must ignore.
+Insertions run at ~20/day, each a back-to-back burst of ~10 purges.  A
+purge may lose exactly the frame in flight -- "the sole source of dropped
+packets for which no correction can be made": the stock adapter hides it
+and the sink skips the gap; the wished-for purge-interrupt adapter
+retransmits from the fixed DMA buffer.  The paper's claims:
+``repro.experiments.claims.RING_PURGE_STOCK`` and ``RING_PURGE_RETRANSMIT``.
 """
 
-from repro.core.session import CTMSSession
+from repro.experiments.claims import RING_PURGE_RETRANSMIT, RING_PURGE_STOCK
 from repro.experiments.reporting import emit
-from repro.experiments.scenarios import test_case_a as scenario_a
-from repro.experiments.testbed import HostConfig, Testbed
-from repro.obs.metrics import format_table
-from repro.sim.units import MINUTE, MS, SEC
-
-
-def run_purge_experiment(purge_retransmit: bool, n_purges: int = 30, seed: int = 6):
-    scenario = scenario_a(seed=seed)
-    bed = Testbed(seed=seed, mac_utilization=scenario.mac_utilization)
-    tx_tr, tx_vca = scenario.transmitter_config()
-    rx_tr, rx_vca = scenario.receiver_config()
-    tx_tr.purge_retransmit = purge_retransmit
-    tx = bed.add_host(HostConfig(name="transmitter", tr=tx_tr, vca=tx_vca))
-    rx = bed.add_host(HostConfig(name="receiver", tr=rx_tr, vca=rx_vca))
-    session = CTMSSession(tx.kernel, rx.kernel)
-    session.establish()
-    # Purge while a CTMSP frame is mid-flight: packets leave every 12ms and
-    # spend ~4ms on the wire, so purging at a fixed phase inside the period
-    # reliably catches some in flight.
-    for i in range(n_purges):
-        bed.sim.schedule((1 + i) * 500 * MS + 7 * MS, bed.ring.purge)
-    bed.run((n_purges + 2) * 500 * MS)
-    return bed, tx, rx, session
+from repro.experiments.ring_studies import run_insertions
 
 
 def test_purge_loses_single_packets_and_sink_recovers():
-    bed, tx, rx, session = run_purge_experiment(False)
-    tracker = session.sink_tracker
-    lost_on_ring = bed.ring.stats_lost_by_protocol.get("ctmsp", 0)
-    assert lost_on_ring >= 5  # the phase-locked purges caught real frames
+    run = RING_PURGE_STOCK.run()
+    emit(RING_PURGE_STOCK.name, RING_PURGE_STOCK.report(run))
+
+    for claim, value in RING_PURGE_STOCK.banded(run):
+        assert claim.holds(value), (claim.label, value, claim.band)
+    assert run.lost_on_ring >= 5  # the phase-locked purges caught real frames
     # Every wire loss shows up as a single-packet gap at the sink; the
     # stream continues (the paper's "adding code to recover").
-    assert tracker.lost_packets == lost_on_ring
-    assert tracker.gaps == lost_on_ring
-    assert tracker.duplicates == 0
-    # The transmitter's driver never knew: stock firmware hides the purge.
-    assert tx.tr_driver.stats_retransmits == 0
-    # Loss stays at the "safely ignore" level the paper accepted.
-    assert tracker.loss_fraction() < 0.02
-
-    emit(
-        "ring_purge_stock",
-        format_table(
-            "Ring Purge with the stock adapter (no purge indication)",
-            ["quantity", "value"],
-            [
-                ["purges issued", str(bed.ring.stats_purges)],
-                ["frames lost on the wire", str(lost_on_ring)],
-                ["gaps detected at sink", str(tracker.gaps)],
-                ["duplicates at sink", "0"],
-                ["stream loss fraction", f"{tracker.loss_fraction() * 100:.2f}%"],
-            ],
-        ),
-    )
+    assert run.tracker.lost_packets == run.lost_on_ring
+    assert run.tracker.gaps == run.lost_on_ring
+    assert run.tracker.duplicates == 0
 
 
 def test_hypothetical_purge_interrupt_recovers_by_retransmission():
-    bed, tx, rx, session = run_purge_experiment(True)
-    tracker = session.sink_tracker
-    lost_on_ring = bed.ring.stats_lost_by_protocol.get("ctmsp", 0)
-    assert lost_on_ring >= 5
-    # The Section 4 adapter-with-purge-interrupt: the driver retransmits
-    # "the last packet that is still in the fixed DMA buffer" -- no data
-    # copy needed -- and the sink sees no gaps.
-    assert tx.tr_driver.stats_retransmits == lost_on_ring
-    assert tracker.lost_packets == 0
-    assert tracker.gaps == 0
+    run = RING_PURGE_RETRANSMIT.run()
+    emit(RING_PURGE_RETRANSMIT.name, RING_PURGE_RETRANSMIT.report(run))
 
-    emit(
-        "ring_purge_retransmit",
-        format_table(
-            "Ring Purge with the hypothetical purge-interrupt adapter",
-            ["quantity", "value"],
-            [
-                ["frames lost on the wire", str(lost_on_ring)],
-                ["driver retransmissions", str(tx.tr_driver.stats_retransmits)],
-                ["gaps at sink", str(tracker.gaps)],
-                ["duplicates ignored at sink", str(tracker.duplicates)],
-            ],
-        ),
-    )
+    for claim, value in RING_PURGE_RETRANSMIT.banded(run):
+        assert claim.holds(value), (claim.label, value, claim.band)
+    assert run.lost_on_ring >= 5
+    # The Section 4 adapter-with-purge-interrupt retransmits every frame
+    # the ring lost.
+    assert run.retransmits == run.lost_on_ring
 
 
 def test_insertion_rate_statistics():
     """~20 insertions/day at ~10 purges each, measured over simulated hours."""
-
-    def run():
-        bed = Testbed(seed=8, mac_utilization=0.0, insertions_per_day=20.0)
-        bed.start_environment()
-        bed.run(6 * 60 * MINUTE)
-        return bed
-
-    bed = run()
+    bed = run_insertions()
     inserter = bed.inserter
     # 20/day over 6 hours -> ~5 expected; Poisson tolerance.
     assert 1 <= inserter.stats_insertions <= 12

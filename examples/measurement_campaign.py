@@ -16,7 +16,7 @@ Run:  python examples/measurement_campaign.py          (about a minute)
 """
 
 from repro.experiments.claims import FIG_5_2, FIG_5_3
-from repro.experiments.reporting import histogram_summary_table
+from repro.experiments.claims import HISTOGRAMS_A, HISTOGRAMS_B
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import test_case_a, test_case_b
 from repro.obs.flight import FlightRecorder
@@ -35,9 +35,9 @@ print("Running Test Case B (public network, normal load, multiprocessing)...")
 result_b = run_scenario(test_case_b(duration_ns=30 * SEC, seed=1))
 
 print()
-print(histogram_summary_table(result_a.histograms, "Test Case A"))
+print(HISTOGRAMS_A.report(result_a))
 print()
-print(histogram_summary_table(result_b.histograms, "Test Case B"))
+print(HISTOGRAMS_B.report(result_b))
 print()
 print(FIG_5_3.report(result_a))
 print()

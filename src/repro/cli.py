@@ -27,57 +27,37 @@ from pathlib import Path
 from repro.sim.units import MINUTE, SEC
 
 
-def _cmd_figure(args) -> int:
-    """``fig5-2``/``fig5-3``/``fig5-4``: one paper figure, paper vs measured."""
-    from repro.experiments.claims import FIGURES
+#: The commands that print one claim-table entry, by ``results/`` name.
+ENTRY_COMMANDS = {"fig5-2": "fig_5_2", "fig5-3": "fig_5_3", "fig5-4": "fig_5_4",
+                  "baseline": "baseline_rates", "copies": "copy_counts"}
 
-    figure = FIGURES[args.command]
+
+def _cmd_entry(args) -> int:
+    """One ``results/`` table (paper vs measured) at the command's duration."""
+    from repro.experiments.claims import ENTRIES
+
+    entry = ENTRIES[ENTRY_COMMANDS[args.command]]
     minutes = getattr(args, "minutes", None)  # fig5-4 is sized in minutes
     duration = minutes * MINUTE if minutes else args.seconds * SEC
-    print(figure.report(figure.run(duration, args.seed)))
+    print(entry.report(entry.run(duration, args.seed)))
     return 0
 
 
 def _cmd_histograms(args) -> int:
-    from repro.experiments.reporting import histogram_summary_table
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenarios import test_case_a, test_case_b
+    from repro.experiments.claims import ENTRIES
 
-    factory = test_case_a if args.case == "a" else test_case_b
-    result = run_scenario(factory(duration_ns=args.seconds * SEC, seed=args.seed))
-    print(
-        histogram_summary_table(
-            result.histograms, f"Test Case {args.case.upper()}"
-        )
-    )
+    entry = ENTRIES[f"histograms_case_{args.case}"]
+    result = entry.run(args.seconds * SEC, args.seed)
+    print(entry.report(result))
     for i in sorted(result.histograms):
         print()
         print(result.histograms[i].to_ascii(width=50, max_rows=25))
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    from repro.experiments.baseline import rate_comparison_table, run_rate_comparison
-
-    results = run_rate_comparison(duration_ns=args.seconds * SEC, seed=args.seed)
-    print(rate_comparison_table(results))
-    return 0
-
-
-def _cmd_copies(args) -> int:
-    from repro.experiments.copies import copies_table, measure_all
-
-    print(copies_table(measure_all(duration_ns=args.seconds * SEC, seed=args.seed)))
-    return 0
-
-
 def _cmd_ablate(args) -> int:
-    from repro.experiments.ablations import (
-        TABLE_HEADERS,
-        ablation_fleet_spec,
-        run_matrix,
-    )
-    from repro.obs.metrics import format_table
+    from repro.experiments.ablations import ablation_fleet_spec
+    from repro.experiments.claims import ABLATIONS
 
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
         spec = ablation_fleet_spec(
@@ -85,14 +65,7 @@ def _cmd_ablate(args) -> int:
             seeds=range(args.seed, args.seed + args.seeds),
         )
         return _run_fleet_cli(spec, args)
-    summary = run_matrix(args.seconds * SEC, args.seed)
-    print(
-        format_table(
-            "Section 5.3 ablations (one switch flipped at a time)",
-            TABLE_HEADERS,
-            [entry.as_row() for entry in summary.values()],
-        )
-    )
+    print(ABLATIONS.report(ABLATIONS.run(args.seconds * SEC, args.seed)))
     return 0
 
 
@@ -276,7 +249,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from repro.experiments.reporting import histogram_summary_table
+    from repro.experiments.claims import ENTRIES
     from repro.experiments.runner import run_scenario
     from repro.experiments.scenarios import test_case_a, test_case_b
     from repro.obs.instrument import DataPathTracer
@@ -293,11 +266,7 @@ def _cmd_metrics(args) -> int:
     if args.json:
         print(registry.to_json())
         return 0
-    print(
-        histogram_summary_table(
-            result.histograms, f"Test Case {args.case.upper()}"
-        )
-    )
+    print(ENTRIES[f"histograms_case_{args.case}"].report(result))
     print()
     print(registry.render_tables())
     return 0
@@ -349,12 +318,12 @@ def _cmd_quickstart(args) -> int:
 
 
 COMMANDS = {
-    "fig5-2": (_cmd_figure, "Figure 5-2: Test B transmit-path histogram"),
-    "fig5-3": (_cmd_figure, "Figure 5-3: Test A tx-to-rx histogram"),
-    "fig5-4": (_cmd_figure, "Figure 5-4: Test B tx-to-rx with ring insertions"),
+    "fig5-2": (_cmd_entry, "Figure 5-2: Test B transmit-path histogram"),
+    "fig5-3": (_cmd_entry, "Figure 5-3: Test A tx-to-rx histogram"),
+    "fig5-4": (_cmd_entry, "Figure 5-4: Test B tx-to-rx with ring insertions"),
     "histograms": (_cmd_histograms, "All seven histograms for one test case"),
-    "baseline": (_cmd_baseline, "Stock UNIX relay at 16 vs 150 KB/s"),
-    "copies": (_cmd_copies, "Copy counts for the three transfer paths"),
+    "baseline": (_cmd_entry, "Stock UNIX relay at 16 vs 150 KB/s"),
+    "copies": (_cmd_entry, "Copy counts for the three transfer paths"),
     "ablate": (_cmd_ablate, "Section 5.3 ablation matrix"),
     "quickstart": (_cmd_quickstart, "Minimal two-machine CTMS stream"),
     "chaos": (_cmd_chaos, "Chaos campaign: stock vs CTMSP under fault plans"),

@@ -9,7 +9,11 @@
 * :mod:`~repro.experiments.baseline` -- the stock-UNIX relay at 16 and
   150 KB/s (Section 1);
 * :mod:`~repro.experiments.copies` -- the Section 2 copy-count measurement;
-* :mod:`~repro.experiments.claims` -- Figures 5-2, 5-3 and 5-4: the paper's
-  claims, their asserted bands and the reports rendered from them;
-* :mod:`~repro.experiments.reporting` -- paper-style text tables.
+* :mod:`~repro.experiments.playout`, :mod:`~repro.experiments.ring_studies`
+  and :mod:`~repro.experiments.instruments` -- the runs behind the other
+  ``results/`` tables (buffer sizing and CD audio; MAC frames, Ring Purge,
+  ring priority and stream capacity; the Section 5.2 tools);
+* :mod:`~repro.experiments.claims` -- every ``results/`` table: its pinned
+  run, its renderer, the paper's claims and their asserted bands;
+* :mod:`~repro.experiments.reporting` -- where reports are written.
 """

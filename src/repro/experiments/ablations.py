@@ -5,9 +5,11 @@ time, each paired with a memory-intensive compute process on the
 transmitter (the paper's own framing of the IOCC contention problem: "If
 the CPU is executing a memory intensive computation at the time, the
 arbitration between the DMA and the CPU access will degrade the execution
-speed of both").  Used by ``benchmarks/test_ablations.py`` and the
-``python -m repro ablate`` command.  The end of the module is the
-``ablation`` fleet campaign kind: the matrix sharded per (variant, seed).
+speed of both").  :func:`run_load_sweep` varies one knob instead: the
+background load.  ``repro.experiments.claims`` runs both for their
+``results/`` tables (also ``python -m repro ablate``).  The end of the
+module is the ``ablation`` fleet campaign kind: the matrix sharded per
+(variant, seed).
 """
 
 from __future__ import annotations
@@ -146,6 +148,44 @@ TABLE_HEADERS = [
     "token wait(us)",
     "lost",
 ]
+
+
+#: The load sweep's background-load multipliers (1.0 is Test Case B's).
+LOADS = (0.0, 0.5, 1.0, 2.0)
+
+
+@dataclass
+class LoadPoint:
+    """CTMSP service quality at one background load."""
+
+    util: float
+    #: Packets not sent within 500us of the 2600us no-delay mode.
+    delayed: float
+    h6_p95: int
+    h7_p95: int
+    h7_max: int
+    lost: int
+
+
+def run_load_sweep(
+    duration_ns: int = 20 * SEC, seed: int = 5
+) -> dict[float, LoadPoint]:
+    """Test Case B with its background load scaled (an extension: the paper
+    measures a silent ring and "normal loading" only)."""
+    points = {}
+    for load in LOADS:
+        scenario = test_case_b(duration_ns=duration_ns, seed=seed)
+        result = run_scenario(scenario.variant(f"load{load}", background_load=load))
+        h6, h7 = result.histograms[6], result.histograms[7]
+        points[load] = LoadPoint(
+            util=result.testbed.ring.utilization(duration_ns),
+            delayed=1 - h6.fraction_within(2_600 * US, 500 * US),
+            h6_p95=h6.percentile(95),
+            h7_p95=h7.percentile(95),
+            h7_max=h7.max(),
+            lost=result.tracker.lost_packets,
+        )
+    return points
 
 
 # ----------------------------------------------------------------------

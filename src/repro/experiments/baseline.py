@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator
 
-from repro.experiments.testbed import Host, HostConfig, Testbed
+from repro.experiments.testbed import HostConfig, Testbed
 from repro.drivers.vca import VCADriverConfig
 from repro.hardware import calibration
-from repro.obs.metrics import format_table
 from repro.protocols.stack import NetStack
 from repro.sim.units import MS, SEC
 from repro.unix.process import UserProcess
@@ -144,22 +143,3 @@ def run_rate_comparison(
         16_000: run_stock_relay(16_000, duration_ns, seed),
         150_000: run_stock_relay(150_000, duration_ns, seed),
     }
-
-
-def rate_comparison_table(results: dict[int, BaselineResult]) -> str:
-    """The Section 1 report: one row per offered rate."""
-    rows = [
-        [
-            f"{rate // 1000} KB/s",
-            f"{r.delivered_fraction * 100:.1f}%",
-            f"{r.glitch_rate_per_sec():.2f}/s",
-            f"{r.achieved_bytes_per_sec() / 1000:.1f} KB/s",
-            "works" if r.works() else "FAILS",
-        ]
-        for rate, r in sorted(results.items())
-    ]
-    return format_table(
-        "Section 1: the stock UNIX relay (user-level process, UDP/IP)",
-        ["offered rate", "delivered", "glitches", "achieved", "verdict"],
-        rows,
-    )

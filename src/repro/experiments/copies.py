@@ -14,11 +14,9 @@ from typing import Generator
 
 from repro.core.direct import CopyCountModel, TransferPath, predicted_copies
 from repro.core.session import CTMSSession
-from repro.drivers.token_ring import TokenRingDriverConfig
 from repro.drivers.vca import VCADriverConfig
 from repro.experiments.testbed import HostConfig, Testbed
 from repro.hardware import calibration
-from repro.obs.metrics import format_table
 from repro.protocols.stack import NetStack
 from repro.sim.units import SEC
 from repro.unix.copy import CopyLedger
@@ -30,7 +28,6 @@ class MeasuredCopies:
     """Measured per-packet copy counts for one transfer path."""
 
     path: TransferPath
-    packets: int
     cpu_per_packet: float
     dma_per_packet: float
     model: CopyCountModel
@@ -43,43 +40,27 @@ class MeasuredCopies:
         )
 
 
-def _bulk_counts(ledger: CopyLedger, threshold_bytes: int) -> tuple[int, int]:
-    cpu = sum(
+def _bulk(records, threshold_bytes: int) -> int:
+    return sum(
         rec.copies
-        for rec in ledger.cpu.values()
+        for rec in records.values()
         if rec.copies and rec.bytes / rec.copies >= threshold_bytes
     )
-    dma = sum(
-        rec.copies
-        for rec in ledger.dma.values()
-        if rec.copies and rec.bytes / rec.copies >= threshold_bytes
-    )
-    return cpu, dma
 
 
-def measure_user_process_path(
-    duration_ns: int = 10 * SEC, seed: int = 5
-) -> MeasuredCopies:
-    """Stock relay: VCA -> read() -> sendto() on the transmitter machine.
-
-    Section 2 frames the count as device-to-device *within one machine*
-    (Figures 2-1/2-2), so only the transmitter's ledger is read.
-    """
-    from repro.experiments.baseline import run_stock_relay
-
-    packet = calibration.CTMSP_PACKET_BYTES
-    bed_result = _run_stock_and_grab_ledger(duration_ns, seed)
-    ledger, packets = bed_result
-    cpu, dma = _bulk_counts(ledger, packet // 2)
-    model = predicted_copies(
-        TransferPath.USER_PROCESS, source_has_dma=False, sink_has_dma=True
-    )
+def _measured(path: TransferPath, ledger: CopyLedger, packets: int) -> MeasuredCopies:
+    threshold = calibration.CTMSP_PACKET_BYTES // 2
+    model = predicted_copies(path, source_has_dma=False, sink_has_dma=True)
     return MeasuredCopies(
-        TransferPath.USER_PROCESS, packets, cpu / packets, dma / packets, model
+        path,
+        _bulk(ledger.cpu, threshold) / packets,
+        _bulk(ledger.dma, threshold) / packets,
+        model,
     )
 
 
 def _run_stock_and_grab_ledger(duration_ns: int, seed: int):
+    """Stock relay: VCA -> read() -> sendto() on the transmitter machine."""
     bytes_per_period = calibration.CTMSP_PACKET_BYTES
     bed = Testbed(seed=seed, mac_utilization=0.0)
     vca_cfg = VCADriverConfig(
@@ -106,41 +87,12 @@ def _run_stock_and_grab_ledger(duration_ns: int, seed: int):
     return tx.kernel.ledger, max(1, sent[0])
 
 
-def measure_direct_driver_path(
-    duration_ns: int = 10 * SEC, seed: int = 5
-) -> MeasuredCopies:
-    """The paper's change: VCA handler hands packets straight to the driver."""
-    ledger, packets = _run_ctms_and_grab_ledger(
-        duration_ns, seed, direct_to_buffer=False
-    )
-    cpu, dma = _bulk_counts(ledger, calibration.CTMSP_PACKET_BYTES // 2)
-    model = predicted_copies(
-        TransferPath.DIRECT_DRIVER, source_has_dma=False, sink_has_dma=True
-    )
-    return MeasuredCopies(
-        TransferPath.DIRECT_DRIVER, packets, cpu / packets, dma / packets, model
-    )
-
-
-def measure_pointer_passing_path(
-    duration_ns: int = 10 * SEC, seed: int = 5
-) -> MeasuredCopies:
-    """The extension: exchange DMA buffer pointers instead of copying."""
-    ledger, packets = _run_ctms_and_grab_ledger(
-        duration_ns, seed, direct_to_buffer=True
-    )
-    cpu, dma = _bulk_counts(ledger, calibration.CTMSP_PACKET_BYTES // 2)
-    model = predicted_copies(
-        TransferPath.POINTER_PASSING, source_has_dma=False, sink_has_dma=True
-    )
-    return MeasuredCopies(
-        TransferPath.POINTER_PASSING, packets, cpu / packets, dma / packets, model
-    )
-
-
 def _run_ctms_and_grab_ledger(
     duration_ns: int, seed: int, direct_to_buffer: bool
 ):
+    """The VCA handler hands packets straight to the driver; with
+    ``direct_to_buffer`` it exchanges DMA buffer pointers instead of
+    copying (the extension)."""
     bed = Testbed(seed=seed, mac_utilization=0.0)
     packet = calibration.CTMSP_PACKET_BYTES
     vca_cfg = VCADriverConfig(
@@ -161,28 +113,19 @@ def _run_ctms_and_grab_ledger(
 
 
 def measure_all(duration_ns: int = 10 * SEC, seed: int = 5) -> list[MeasuredCopies]:
-    """All three disciplines, for the COPIES report."""
+    """The three disciplines: user-process relay, direct driver, pointer
+    passing.  Section 2 frames the count as device-to-device *within one
+    machine* (Figures 2-1/2-2), so only the transmitter's ledger is read."""
     return [
-        measure_user_process_path(duration_ns, seed),
-        measure_direct_driver_path(duration_ns, seed),
-        measure_pointer_passing_path(duration_ns, seed),
+        _measured(
+            TransferPath.USER_PROCESS, *_run_stock_and_grab_ledger(duration_ns, seed)
+        ),
+        _measured(
+            TransferPath.DIRECT_DRIVER,
+            *_run_ctms_and_grab_ledger(duration_ns, seed, direct_to_buffer=False),
+        ),
+        _measured(
+            TransferPath.POINTER_PASSING,
+            *_run_ctms_and_grab_ledger(duration_ns, seed, direct_to_buffer=True),
+        ),
     ]
-
-
-def copies_table(measured: list[MeasuredCopies]) -> str:
-    """The Section 2 report: model vs measured copies per transfer path."""
-    rows = [
-        [
-            m.path.value,
-            f"{m.model.cpu_copies} cpu + {m.model.dma_copies} dma",
-            f"{m.cpu_per_packet:.2f} cpu + {m.dma_per_packet:.2f} dma",
-            "yes" if m.matches_model() else "NO",
-        ]
-        for m in measured
-    ]
-    return format_table(
-        "Section 2: data copies per packet, device to device "
-        "(VCA source has no DMA; Token Ring adapter does)",
-        ["transfer path", "model", "measured", "match"],
-        rows,
-    )

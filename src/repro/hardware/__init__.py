@@ -9,8 +9,8 @@ operating system:
   priority levels (``spl``), the mechanism behind the paper's "protected code
   segments" and interrupt-entry jitter;
 * :mod:`~repro.hardware.memory` -- system memory vs IO Channel Memory and the
-  DMA/CPU contention the paper's third modification avoids;
-* :mod:`~repro.hardware.dma` -- DMA engines with per-region transfer rates;
+  DMA/CPU contention the paper's third modification avoids (the rule every
+  DMA-capable adapter applies);
 * :mod:`~repro.hardware.machine` -- the assembled machine;
 * :mod:`~repro.hardware.vca` -- the Voice Communications Adapter used as the
   paper's rock-stable 12 ms interrupt and data source;

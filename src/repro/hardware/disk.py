@@ -14,12 +14,11 @@ targets IO Channel Memory).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.hardware import calibration
 from repro.hardware.machine import Machine
-from repro.hardware.memory import Region
+from repro.hardware.memory import MemorySystem, Region
 from repro.sim.units import MS, US
 
 #: Average seek time (ns).
@@ -103,7 +102,7 @@ class DiskAdapter:
         self.stats_reads += 1
         self.stats_bytes += nbytes
         self.stats_busy_ns += service
-        contends = region in (Region.SYSTEM, Region.USER)
+        contends = MemorySystem.dma_involves_cpu_memory(region)
         if contends:
             self.cpu.contention_started()
         self.sim.schedule_fast(service, self._read_done, contends, on_done)

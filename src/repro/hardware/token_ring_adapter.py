@@ -22,12 +22,11 @@ all protocol logic; the adapter is dumb hardware.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Generator, Optional
 
 from repro.hardware import calibration
 from repro.hardware.machine import Machine
-from repro.hardware.memory import Region
+from repro.hardware.memory import MemorySystem, Region
 from repro.ring.frames import Frame
 from repro.ring.network import TX_LOST_IN_PURGE, TokenRing
 from repro.ring.station import RingStation
@@ -122,7 +121,7 @@ class TokenRingAdapter:
         duration = frame.info_bytes * self.tx_dma_ns_per_byte
         if self.ledger is not None:
             self.ledger.record_dma(from_region, Region.ADAPTER, frame.info_bytes)
-        contends = from_region in (Region.SYSTEM, Region.USER)
+        contends = MemorySystem.dma_involves_cpu_memory(from_region)
         if contends:
             self.cpu.contention_started()
         self.sim.schedule_fast(duration, self._fetch_done, frame, contends)
@@ -182,7 +181,7 @@ class TokenRingAdapter:
             self.ledger.record_dma(
                 Region.ADAPTER, self.rx_buffer_region, frame.info_bytes
             )
-        contends = self.rx_buffer_region in (Region.SYSTEM, Region.USER)
+        contends = MemorySystem.dma_involves_cpu_memory(self.rx_buffer_region)
         if contends:
             self.cpu.contention_started()
         self.sim.schedule_fast(duration, self._rx_dma_done, frame, contends)

@@ -1,11 +1,9 @@
 """Tests for the report formatting helpers and the figure reports."""
 
-import os
-
-import pytest
+from types import SimpleNamespace
 
 from repro.experiments import reporting
-from repro.experiments.claims import FIG_5_2, FIG_5_3, FIG_5_4
+from repro.experiments.claims import FIG_5_2, FIG_5_3, FIG_5_4, HISTOGRAMS_A
 from repro.measure.histogram import Histogram
 from repro.obs.metrics import format_table
 from repro.sim.units import MS, US
@@ -69,8 +67,6 @@ def test_figure_5_4_report_counts_outliers():
 
 
 def test_histogram_summary_table_handles_empty():
-    text = reporting.histogram_summary_table(
-        {1: Histogram(name="empty-one")}, "Case X"
-    )
+    text = HISTOGRAMS_A.report(SimpleNamespace(histograms={1: Histogram(name="empty-one")}))
     assert "empty-one" in text
-    assert "Case X" in text
+    assert "Histograms 1-7, Test Case A" in text

@@ -1,19 +1,15 @@
-"""Tests for memory regions, copy costs, and DMA contention."""
+"""Tests for memory regions, copy costs, and which DMAs contend with the CPU."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hardware import calibration
-from repro.hardware.cpu import CPU, Exec
-from repro.hardware.dma import DMAEngine
 from repro.hardware.memory import (
     MemorySystem,
     Region,
     cpu_copy_cost,
 )
-from repro.sim.engine import Simulator
-from repro.sim.units import MS, US
+from repro.sim.units import US
 
 
 def test_paper_copy_rate_sys_to_iocm():
@@ -56,66 +52,3 @@ def test_dma_contention_classification():
     assert involves(Region.USER, Region.ADAPTER)
     assert not involves(Region.IO_CHANNEL, Region.ADAPTER)
     assert not involves(Region.ADAPTER, Region.ADAPTER)
-
-
-def test_dma_transfer_duration_and_callback():
-    sim = Simulator()
-    engine = DMAEngine(sim, cpu=None, name="tr-dma", ns_per_byte=1000)
-    done_at = []
-    engine.transfer(2000, Region.IO_CHANNEL, Region.ADAPTER, lambda: done_at.append(sim.now))
-    sim.run()
-    assert done_at == [2000 * US]
-    assert engine.stats_bytes == 2000
-
-
-def test_dma_transfers_queue_fifo():
-    sim = Simulator()
-    engine = DMAEngine(sim, cpu=None, name="dma", ns_per_byte=100)
-    order = []
-    engine.transfer(10, Region.ADAPTER, Region.IO_CHANNEL, lambda: order.append(("a", sim.now)))
-    engine.transfer(20, Region.ADAPTER, Region.IO_CHANNEL, lambda: order.append(("b", sim.now)))
-    sim.run()
-    assert order == [("a", 1000), ("b", 3000)]
-
-
-def test_sysmem_dma_registers_cpu_contention():
-    sim = Simulator()
-    cpu = CPU(sim, irq_entry_overhead=0, context_switch_cost=0)
-    cpu.interference_per_source = 1.0  # work runs at half speed under DMA
-    engine = DMAEngine(sim, cpu=cpu, name="dma", ns_per_byte=1000)
-    finish = []
-
-    def body():
-        yield Exec(100 * US)
-        finish.append(sim.now)
-
-    cpu.spawn_base(body())
-    engine.transfer(50, Region.SYSTEM, Region.ADAPTER)  # 50us of DMA
-    sim.run()
-    # 50us at half speed = 25us of work done, then 75us at full speed.
-    assert finish == [125 * US]
-
-
-def test_iocm_dma_does_not_touch_cpu():
-    sim = Simulator()
-    cpu = CPU(sim, irq_entry_overhead=0, context_switch_cost=0)
-    cpu.interference_per_source = 1.0
-    engine = DMAEngine(sim, cpu=cpu, name="dma", ns_per_byte=1000)
-    finish = []
-
-    def body():
-        yield Exec(100 * US)
-        finish.append(sim.now)
-
-    cpu.spawn_base(body())
-    engine.transfer(50, Region.IO_CHANNEL, Region.ADAPTER)
-    sim.run()
-    assert finish == [100 * US]
-    assert engine.stats_contending_transfers == 0
-
-
-def test_zero_byte_dma_rejected():
-    sim = Simulator()
-    engine = DMAEngine(sim, cpu=None, name="dma", ns_per_byte=100)
-    with pytest.raises(ValueError):
-        engine.transfer(0, Region.SYSTEM, Region.SYSTEM)
