@@ -25,4 +25,4 @@ def test_histograms_test_case_b():
     for claim, value in HISTOGRAMS_B.banded(result):
         assert claim.holds(value), (claim.label, value, claim.band)
     h5 = result.histograms[5]
-    assert h5.max() >= h5.min()
+    assert h5.max() > h5.min()  # load varies the IRQ entry time

@@ -163,10 +163,6 @@ class TokenRingAdapter:
             self.irq_level, self.on_tx_complete, name="tr-txdone"
         )
 
-    @property
-    def tx_in_progress(self) -> bool:
-        return self._tx_in_progress
-
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------

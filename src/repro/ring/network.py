@@ -17,6 +17,17 @@ Access mechanics modeled:
 
 The token's position advances analytically while the ring is idle, so an
 idle ring costs zero simulation events.
+
+Only observable deliveries go on the calendar.  A frame reaches a station's
+host only through its ``receive`` hook, and a MAC frame only if the station
+sets ``accept_mac_frames`` (Section 4: the adapter ROM does not pass MAC
+frames to the host).  Every other delivery would change nothing, so it is
+not scheduled.  The one trace such deliveries leave is
+:attr:`~repro.ring.station.RingStation.stats_mac_frames_seen`, counted
+lazily by :meth:`TokenRing.mac_frames_seen`: the MAC frames whose delivery
+to the station fell due at or before ``sim.now``, minus those a Ring Purge
+destroyed in flight.  A purge at time ``t`` destroys the deliveries due
+after ``t``; like ``run(until=t)``, it leaves those due at ``t`` counted.
 """
 
 from __future__ import annotations
@@ -96,6 +107,12 @@ class TokenRing:
         self._down_until = 0
         self._purge_resume: Optional[Handle] = None
         self._requests: list[_Request] = []
+        # MAC frame deliveries are counted, not scheduled: the last MAC
+        # frame's (end of serialization, source position, destinations)
+        # waits here until the next MAC capture settles it into the
+        # per-position counts.
+        self._mac_frame: Optional[tuple[int, int, list]] = None
+        self._mac_seen: list[int] = []
 
         # --- statistics ---
         self.stats_frames_sent = 0
@@ -121,6 +138,7 @@ class TokenRing:
             )
         self.stations.append(station)
         self._by_address[station.address] = station
+        self._mac_seen.append(0)
         return position
 
     @property
@@ -256,16 +274,31 @@ class TokenRing:
         else:
             src_pos = request.station.position
             delivery_epoch = self._delivery_epoch
-            for dst in self._destinations(frame):
-                hops = (dst.position - src_pos) % self.total_stations
-                t_rx = wire + round(hops * self.hop_ns)
-                self.sim.schedule_fast(
-                    t_rx, self._deliver, dst, frame, delivery_epoch
-                )
+            destinations = self._destinations(frame)
+            if frame.frame_class is FrameClass.MAC:
+                if self._mac_frame is not None:
+                    # The previous MAC frame's deliveries all fell due
+                    # before its release, hence before this capture.
+                    seen = self._mac_seen
+                    for dst in self._mac_frame[2]:
+                        seen[dst.position] += 1
+                self._mac_frame = (now + wire, src_pos, destinations)
+                destinations = [d for d in destinations if d.accept_mac_frames]
+            for dst in destinations:
+                if dst.receive is not None:
+                    self.sim.schedule_fast(
+                        wire + self._hop_delay(src_pos, dst),
+                        self._deliver, dst, frame, delivery_epoch,
+                    )
         release_after = wire + self.ring_latency_ns
         self.sim.schedule_fast(
             release_after, self._release, request, TX_OK, self._release_epoch
         )
+
+    def _hop_delay(self, src_pos: int, dst) -> int:
+        """From the end of serialization at ``src_pos`` to arrival at ``dst``."""
+        hops = (dst.position - src_pos) % self.total_stations
+        return round(hops * self.hop_ns)
 
     def _destinations(self, frame: Frame) -> list:
         if frame.dst == BROADCAST:
@@ -276,7 +309,7 @@ class TokenRing:
     def _deliver(self, dst, frame: Frame, epoch: int) -> None:
         if epoch != self._delivery_epoch:
             return  # the frame was lost to a purge while in flight
-        dst.on_frame(frame)
+        dst.receive(frame)
 
     def _release(self, request: _Request, status: str, epoch: int) -> None:
         if epoch != self._release_epoch:
@@ -325,9 +358,16 @@ class TokenRing:
             lost = self._holder
             self._holder = None
             # Logically cancel the in-flight deliveries and the pending
-            # release: bump their epochs so the queued entries no-op.
+            # release: bump their epochs so the queued entries no-op.  A
+            # MAC frame's deliveries not yet due are destroyed too.
             self._delivery_epoch += 1
             self._release_epoch += 1
+            if self._mac_frame is not None:
+                wire_end, src_pos, destinations = self._mac_frame
+                self._mac_frame = (wire_end, src_pos, [
+                    d for d in destinations
+                    if wire_end + self._hop_delay(src_pos, d) <= now
+                ])
             self.stats_frames_lost_to_purge += 1
             proto = lost.frame.protocol
             self.stats_lost_by_protocol[proto] = (
@@ -371,6 +411,23 @@ class TokenRing:
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` the wire carried frames."""
         return self.stats_busy_ns / elapsed_ns if elapsed_ns else 0.0
+
+    def mac_frames_seen(self, station) -> int:
+        """MAC frames delivered to ``station`` as of ``sim.now``.
+
+        Counts each MAC frame whose delivery to the station fell due at or
+        before ``sim.now`` and was not destroyed by a Ring Purge in flight
+        (see the module docstring).
+        """
+        seen = self._mac_seen[station.position]
+        if self._mac_frame is not None:
+            wire_end, src_pos, destinations = self._mac_frame
+            if (
+                station in destinations
+                and wire_end + self._hop_delay(src_pos, station) <= self.sim.now
+            ):
+                seen += 1
+        return seen
 
     def pending_count(self) -> int:
         """Frames queued ring-wide awaiting the token."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.ring.frames import Frame, FrameClass
+from repro.ring.frames import Frame
 from repro.ring.network import TokenRing
 
 
@@ -26,15 +26,26 @@ class RingStation:
     ) -> None:
         self.ring = ring
         self.address = address
-        #: Called with each frame addressed to (or broadcast past) us.
+        #: Called with each frame addressed to (or broadcast past) us.  A
+        #: station without one is never delivered to (the ring schedules
+        #: no delivery that no host can see).
         self.receive = receive
         #: Real adapters do not pass MAC frames to the host (Section 4: the
         #: adapter ROM software "does not allow for passing MAC frames to
         #: the host processor"); set True only for hypothetical-mode studies.
         self.accept_mac_frames = accept_mac_frames
         self.position = ring.attach(self)
-        self.stats_frames_received = 0
-        self.stats_mac_frames_seen = 0
+
+    @property
+    def stats_mac_frames_seen(self) -> int:
+        """MAC frames that have reached this adapter as of ``sim.now``.
+
+        The adapter sees every MAC frame on the ring, whether or not it
+        passes them to the host; a frame counts once its delivery here has
+        fallen due, unless a Ring Purge destroyed it in flight.  Counted
+        lazily by :meth:`TokenRing.mac_frames_seen`, not by a delivery.
+        """
+        return self.ring.mac_frames_seen(self)
 
     def transmit(
         self,
@@ -43,16 +54,6 @@ class RingStation:
     ) -> None:
         """Queue a frame for the token."""
         self.ring.request_transmit(self, frame, on_complete)
-
-    def on_frame(self, frame: Frame) -> None:
-        """Ring delivery upcall."""
-        if frame.frame_class is FrameClass.MAC:
-            self.stats_mac_frames_seen += 1
-            if not self.accept_mac_frames:
-                return
-        self.stats_frames_received += 1
-        if self.receive is not None:
-            self.receive(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RingStation {self.address} pos={self.position}>"

@@ -2,14 +2,17 @@
 
 The failover golden is a 3 s run and the chaos smoke is short; longer runs
 see many more arrivals between failover-window changes, which is where an
-incremental worst-gap fold could drift from a full rescan.  These sha256
-digests were recorded before the monitor's worst-gap check became
-incremental, so any drift in a verdict, a count or an event total shows.
+incremental worst-gap fold could drift from a full rescan.  The sha256
+digests cover every verdict and count a run reports *except* ``events``,
+so any drift in what the model computed shows there.
 
-The ``(events, packets)`` pins cover three grains of the same seeded
-input: one clean CTMSP stream, one chaos point, and a small serial fleet
-campaign.  The same seed must dispatch the same calendar, so a kernel
-change that drops, adds or reorders a calendar entry shows here.
+``events`` (calendar entries dispatched) is pinned on its own: it says how
+many entries the model took, which a kernel or ring change may lower
+without changing any outcome.  The ``(events, packets)`` pins cover three
+grains of the same seeded input: one clean CTMSP stream, one chaos point,
+and a small serial fleet campaign.  The same seed must dispatch the same
+calendar, so a change that drops, adds or reorders a calendar entry shows
+here.
 """
 
 import hashlib
@@ -25,29 +28,44 @@ from repro.experiments.testbed import HostConfig, Testbed as _Testbed
 from repro.sim.units import SEC
 
 FAILOVER_8S_SEED_1 = (
-    "5d43d194cc12f16194437d9bbb77b4caecaf6ed4beae9d32ed96526ef8818394"
+    "9c5bc8ddab1ba90f03243e698e3aa8c844fc1f2872e89260d75cda88a8433c15"
 )
+FAILOVER_8S_SEED_1_EVENTS = [34216, 46216, 53733]
 
 CHAOS_4S_SEED_1 = {
     "e07503f76764.stock:1": (
-        "a9a42e060f86775ab00aef92e2925027c0b7f31437a78e4c871b86dcb62abd7a"
+        "197b2e5f191f31af9454666506286c8a6a6c837f9678175477349bb23506353b"
     ),
     "e07503f76764.ctmsp:1": (
-        "f39e10b077d3b0bb4c47ddce16989dee24ca950ba514a268442f13868fdc0bae"
+        "fc3178cb3ff08b82af2b614dc95da6e348957602dff6627c38cb210d4d446be8"
     ),
     "5ce19f42144e.stock:1": (
-        "aef0718e83eb9ec9db43aa6cd07d43fac4d9e9cb4af66d011a7b83b2e643b084"
+        "f78214bec480490dbce8ed421c2886a31120df680730331e7477fbe9d27c4347"
     ),
     "5ce19f42144e.ctmsp:1": (
-        "54b8eed7b0c458c97d46ba74267043890ab4bfa29c3ff8efd2f109fa812c6aa9"
+        "8e85f64ff5093f9d360604bd026e946abbf1df1e426ee2c20b25140838952fcf"
     ),
     "7323fea8b047.stock:1": (
-        "5bd1304fcaa5f93ae98358592a6c09153f4ef0dee5f4f49449b2ecab939285c7"
+        "f8b465e11a39ff25c357af1178334b96e1daa989fe2b030d293122fcfe59bcca"
     ),
     "7323fea8b047.ctmsp:1": (
-        "be96fd020205665bd51c2be1d34d04c403d901b2bad351951cd222e4e9246dc6"
+        "601f987220f956f8537c805649102af0f0d85b77183146282a635a2af40a8d44"
     ),
 }
+CHAOS_4S_SEED_1_EVENTS = {
+    "e07503f76764.stock:1": 11898,
+    "e07503f76764.ctmsp:1": 11543,
+    "5ce19f42144e.stock:1": 12257,
+    "5ce19f42144e.ctmsp:1": 11803,
+    "7323fea8b047.stock:1": 8227,
+    "7323fea8b047.ctmsp:1": 13359,
+}
+
+
+def _without_events(result: dict) -> bytes:
+    return json.dumps(
+        {k: v for k, v in result.items() if k != "events"}, sort_keys=True
+    ).encode()
 
 
 @pytest.mark.chaos
@@ -55,8 +73,9 @@ def test_eight_second_failover_campaign_is_pinned():
     report = run_failover_campaign(seed=1, duration_ns=8 * SEC)
     h = hashlib.sha256(report.render().encode())
     for run in report.runs:
-        h.update(json.dumps(run.as_dict(), sort_keys=True).encode())
+        h.update(_without_events(run.as_dict()))
     assert h.hexdigest() == FAILOVER_8S_SEED_1
+    assert [run.events for run in report.runs] == FAILOVER_8S_SEED_1_EVENTS
 
 
 @pytest.mark.chaos
@@ -64,13 +83,14 @@ def test_four_second_chaos_fleet_points_are_pinned(tmp_path):
     spec = chaos_fleet_spec([1], duration_ns=4 * SEC)
     fleet = run_fleet(spec, jobs=1, state_dir=tmp_path)
     assert fleet.ok()
+    results = {point.key: fleet.result_for(point.key) for point in spec.points}
     digests = {
-        point.key: hashlib.sha256(
-            json.dumps(fleet.result_for(point.key), sort_keys=True).encode()
-        ).hexdigest()
-        for point in spec.points
+        key: hashlib.sha256(_without_events(result)).hexdigest()
+        for key, result in results.items()
     }
     assert digests == CHAOS_4S_SEED_1
+    events = {key: result["events"] for key, result in results.items()}
+    assert events == CHAOS_4S_SEED_1_EVENTS
 
 
 def _clean_stream():
@@ -103,9 +123,9 @@ def _fleet_campaign(state_dir):
 @pytest.mark.parametrize(
     ("workload", "expected"),
     [
-        (lambda _dir: _clean_stream(), (11703, 332)),
-        (lambda _dir: _chaos_point(), (12604, 326)),
-        (_fleet_campaign, (24234, 657)),
+        (lambda _dir: _clean_stream(), (11313, 332)),
+        (lambda _dir: _chaos_point(), (11852, 326)),
+        (_fleet_campaign, (23422, 657)),
     ],
     ids=["kernel", "chaos_point", "fleet_campaign"],
 )

@@ -44,9 +44,9 @@ def test_transmit_command_fetches_then_sends_then_interrupts():
     a1.on_tx_complete = txdone
     f = frame()
     a1.command_transmit(f, Region.IO_CHANNEL)
-    assert a1.tx_in_progress
+    assert a1._tx_in_progress
     sim.run(until=SEC)
-    assert not a1.tx_in_progress
+    assert not a1._tx_in_progress
     assert len(events) == 1
     # Command latency + fetch + wire + ring circulation all elapsed first.
     assert events[0][1] > 1_400 * US + 2_000 * US + 4_000 * US

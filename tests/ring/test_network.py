@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware import calibration
-from repro.ring.frames import Frame
+from repro.ring.frames import Frame, mac_frame
 from repro.ring.network import TX_LOST_IN_PURGE, TX_OK, TokenRing
 from repro.ring.station import RingStation
 from repro.sim.engine import Simulator
@@ -112,8 +112,6 @@ def test_broadcast_reaches_all_other_stations():
 
 def test_mac_frames_not_passed_to_host_by_default():
     sim, ring, (a, b, c) = build_ring()
-    from repro.ring.frames import mac_frame
-
     a.transmit(mac_frame("host-0"))
     sim.run(until=10 * MS)
     assert b.received == []
@@ -207,3 +205,84 @@ def test_stats_token_wait_accumulates():
     sim.run(until=100 * MS)
     # Second frame had to wait for the first's full service time.
     assert ring.stats_token_wait_ns["ctmsp"] > 4 * MS
+
+
+# -- stats_mac_frames_seen: deliveries due by sim.now, minus purged ones ------
+
+
+def mac_broadcast_on_the_wire():
+    """A MAC broadcast from ``a`` to three kinds of station, mid-serialization.
+
+    ``b`` has a host receive hook but, like real adapters, takes no MAC
+    frames; ``c`` has no receive hook (a lightweight sender); ``d`` is a
+    hypothetical promiscuous station that does take them.  Returns the
+    stations, the frames ``d`` received and each station's delivery time.
+    """
+    sim, ring, (a, b) = build_ring(n_attached=2)
+    c = RingStation(ring, "sender")
+    got = []
+    d = RingStation(ring, "listener", receive=got.append, accept_mac_frames=True)
+    wire_start = []
+    ring.monitors.append(lambda f, t, status: wire_start.append(t))
+    frame = mac_frame("host-0")
+    a.transmit(frame)
+    while not wire_start:
+        sim.run(until=sim.now + US)
+    due = {
+        s.address: wire_start[0] + frame.wire_time_ns
+        + round((s.position - a.position) % ring.total_stations * ring.hop_ns)
+        for s in (b, c, d)
+    }
+    assert sim.now < min(due.values())
+    return sim, ring, (a, b, c, d), got, due
+
+
+def seen(*stations):
+    return [s.stats_mac_frames_seen for s in stations]
+
+
+def test_mac_frames_seen_counts_only_deliveries_due_by_run_until():
+    sim, ring, (a, b, c, d), got, due = mac_broadcast_on_the_wire()
+    assert due["host-1"] < due["sender"] < due["listener"]
+    sim.run(until=due["host-1"])  # run(until) dispatches entries at until
+    assert seen(a, b, c, d) == [0, 1, 0, 0]
+    sim.run(until=due["sender"] - 1)
+    assert seen(a, b, c, d) == [0, 1, 0, 0]
+    sim.run(until=due["sender"])
+    assert seen(a, b, c, d) == [0, 1, 1, 0]
+    assert got == []
+    sim.run(until=due["listener"])
+    assert seen(a, b, c, d) == [0, 1, 1, 1]
+    assert len(got) == 1
+    sim.run(until=10 * MS)
+    assert seen(a, b, c, d) == [0, 1, 1, 1]
+
+
+def test_purge_mid_mac_broadcast_leaves_downstream_stations_uncounted():
+    sim, ring, (a, b, c, d), got, due = mac_broadcast_on_the_wire()
+    sim.run(until=due["host-1"])
+    ring.purge()  # b's delivery fell due at this very instant: it stands
+    sim.run(until=SEC)
+    assert seen(a, b, c, d) == [0, 1, 0, 0]
+    assert got == []
+    assert ring.stats_frames_lost_to_purge == 1
+    # The next broadcast is counted everywhere once it has circulated.
+    a.transmit(mac_frame("host-0"))
+    sim.run(until=2 * SEC)
+    assert seen(a, b, c, d) == [0, 2, 1, 1]
+    assert len(got) == 1
+
+
+def test_mac_broadcast_nobody_accepts_costs_one_capture_and_one_release():
+    sim = Simulator(record_trace=True)
+    ring = TokenRing(sim)
+    a = RingStation(ring, "host-0", receive=lambda f: None)
+    others = [RingStation(ring, "host-1", receive=lambda f: None)]
+    others += [RingStation(ring, f"sender-{i}") for i in range(3)]
+    a.transmit(mac_frame("host-0"))
+    sim.run(until=10 * MS)
+    assert [name for _t, name in sim.trace] == [
+        "TokenRing._capture", "TokenRing._release"
+    ]
+    assert sim.stats_events == 2
+    assert seen(a, *others) == [0, 1, 1, 1, 1]
