@@ -230,6 +230,3 @@ class PresentationMachine:
     @property
     def glitch_count(self) -> int:
         return len(self.glitches)
-
-    def is_glitch_free(self) -> bool:
-        return not self.glitches and self.overflow_drops == 0

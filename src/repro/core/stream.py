@@ -71,19 +71,6 @@ class StreamStats:
     def min_latency_ns(self) -> int:
         return min(self.latencies_ns) if self.latencies_ns else 0
 
-    def jitter_ns(self) -> float:
-        """Standard deviation of inter-arrival times -- delivery jitter.
-
-        The quantity a playout buffer exists to absorb: zero for a perfect
-        isochronous stream, growing with queueing interference.
-        """
-        gaps = self.inter_arrival_ns()
-        if len(gaps) < 2:
-            return 0.0
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
-        return var ** 0.5
-
     def worst_gap_ns(self) -> int:
         """Longest delivery stall (the buffer-sizing input of Section 6)."""
         gaps = self.inter_arrival_ns()

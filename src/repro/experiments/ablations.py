@@ -113,7 +113,7 @@ def run_one(name: str, scenario: Scenario) -> AblationEntry:
             yield from proc.compute(1 * MS)
             progress["chunks"] += 1
 
-    bed, tx, rx, background, _tap = build_scenario(scenario)
+    bed, tx, rx, background = build_scenario(scenario)
     session = CTMSSession(tx.kernel, rx.kernel)
     session.establish()
     if background is not None:

@@ -119,7 +119,7 @@ def _run_heavy_ring(
         "storm", ctmsp_ring_priority=ctmsp_ring_priority, mac_utilization=0.002,
         multiprogramming=False, background_load=0.0,
     )
-    bed, tx, rx, _background, _tap = build_scenario(scenario)
+    bed, tx, rx, _background = build_scenario(scenario)
     # Four busy stations attached after the hosts: without media priority a
     # CTMSP frame waits for each of their queued frames as the token works
     # around the ring; with priority the reservation jumps the whole pack.

@@ -26,7 +26,6 @@ from repro.experiments.testbed import Host, HostConfig, Testbed
 from repro.hardware.parallel_port import PORT_WRITE_CODE_COST, ParallelPort
 from repro.measure.histogram import Histogram
 from repro.measure.pcat import PcatTimestamper, match_by_packet_number
-from repro.measure.tap import TapMonitor
 from repro.protocols.stack import NetStack
 from repro.ring.frames import Frame
 from repro.sim.units import US
@@ -59,7 +58,6 @@ class RunResult:
     transmitter: Host
     receiver: Host
     session: CTMSSession
-    tap: Optional[TapMonitor] = None
     background: Optional[BackgroundTraffic] = None
 
     @property
@@ -71,7 +69,7 @@ class RunResult:
         return self.session.sink_tracker
 
 
-def build_scenario(scenario: Scenario, with_tap: bool = False):
+def build_scenario(scenario: Scenario):
     """Assemble (but do not run) a scenario's testbed. Returns pieces."""
     bed = Testbed(
         seed=scenario.seed,
@@ -102,13 +100,10 @@ def build_scenario(scenario: Scenario, with_tap: bool = False):
         background = BackgroundTraffic(
             bed, [tx, rx], load=scenario.background_load
         )
-    tap = TapMonitor(bed.sim, bed.ring) if with_tap else None
-    return bed, tx, rx, background, tap
+    return bed, tx, rx, background
 
 
-def run_scenario(
-    scenario: Scenario, with_tap: bool = False, tracer=None
-) -> RunResult:
+def run_scenario(scenario: Scenario, tracer=None) -> RunResult:
     """Run one scenario and compute the seven histograms.
 
     ``tracer`` (a :class:`repro.obs.instrument.DataPathTracer`) attaches
@@ -116,7 +111,7 @@ def run_scenario(
     probe/listener hook points only, so traced runs replay the identical
     event calendar (the overhead-guard test holds this).
     """
-    bed, tx, rx, background, tap = build_scenario(scenario, with_tap=with_tap)
+    bed, tx, rx, background = build_scenario(scenario)
     pcat = PcatTimestamper(bed.sim, bed.rng)
     pcat.start()
     _wire_measurement_points(pcat, tx, rx)
@@ -145,7 +140,6 @@ def run_scenario(
         transmitter=tx,
         receiver=rx,
         session=session,
-        tap=tap,
         background=background,
     )
 

@@ -269,10 +269,6 @@ class CPU:
         self._contention_sources -= 1
         self._reslice_running()
 
-    def contention_factor(self) -> float:
-        """Current multiplier on CPU work durations."""
-        return 1.0 + self.interference_per_source * self._contention_sources
-
     # ------------------------------------------------------------------
     # frame execution engine
     # ------------------------------------------------------------------

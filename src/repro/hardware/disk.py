@@ -133,10 +133,3 @@ class DiskAdapter:
     @property
     def busy(self) -> bool:
         return self._busy
-
-    def sustained_rate_bytes_per_sec(self, read_size: int) -> float:
-        """Analytic sequential throughput for ``read_size`` chunks."""
-        per_read = read_size * DISK_NS_PER_BYTE
-        # One track seek per DISK_TRACK_BYTES of sequential data.
-        per_read += DISK_TRACK_SEEK * read_size / DISK_TRACK_BYTES
-        return read_size / (per_read / 1e9)

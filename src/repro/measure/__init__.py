@@ -10,9 +10,6 @@ measurement noise:
 * :mod:`~repro.measure.pcat` -- the PC/AT parallel-port timestamper: 2 us
   16-bit clock, 50 Hz rollover-marker channel, polling-loop service delay
   (60 us worst case), and the two-PC store pipeline;
-* :mod:`~repro.measure.tap` -- IBM's Trace and Analysis Program: on-ring
-  capture of AC/FC bytes, length, and the first 96 bytes, with a capture-
-  rate limitation;
 * :mod:`~repro.measure.pseudo_driver` -- the in-kernel pseudo-driver tracer:
   122 us clock granularity and measurement intrusion;
 * :mod:`~repro.measure.logic_analyzer` -- the reference instrument: exact

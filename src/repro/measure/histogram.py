@@ -175,10 +175,3 @@ class Histogram:
             "min_us": self.min() / US,
             "max_us": self.max() / US,
         }
-
-    def to_csv(self) -> str:
-        """Binned counts as CSV (``bin_start_us,count``), for replotting."""
-        lines = ["bin_start_us,count"]
-        for index, count in sorted(self.bins().items()):
-            lines.append(f"{index * self.bin_width / US:.1f},{count}")
-        return "\n".join(lines) + "\n"

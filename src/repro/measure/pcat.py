@@ -104,7 +104,7 @@ class PcatTimestamper:
         if self._pending_deadline is None:
             read_at = t_ns + self._service_delay()
             self._pending_deadline = read_at
-            self.sim.at(read_at, self._loop_reads)
+            self.sim.at_fast(read_at, self._loop_reads)
 
     def _service_delay(self) -> int:
         base = self._rng.randint(

@@ -26,29 +26,6 @@ from repro.obs.span import SpanRecorder
 #: Span category for control-plane decision markers.
 CATEGORY_CONTROL = "control"
 
-#: Canonical metric names the control plane emits (one place to grep).
-CONTROL_SESSIONS_ADMITTED = "control.sessions.admitted"
-CONTROL_SESSIONS_QUEUED = "control.sessions.queued"
-CONTROL_SESSIONS_REJECTED = "control.sessions.rejected"
-CONTROL_SESSIONS_SHED = "control.sessions.shed"
-CONTROL_SESSIONS_RESUMED = "control.sessions.resumed"
-CONTROL_SESSIONS_FAILOVERS = "control.sessions.failovers"
-CONTROL_SESSIONS_STRANDED = "control.sessions.stranded"
-CONTROL_SERVERS_DOWN = "control.servers.down"
-CONTROL_RING_UTILIZATION = "control.ring.utilization"
-CONTROL_RING_COMMITTED_FRACTION = "control.ring.committed_fraction"
-
-CONTROL_COUNTERS = (
-    CONTROL_SESSIONS_ADMITTED,
-    CONTROL_SESSIONS_QUEUED,
-    CONTROL_SESSIONS_REJECTED,
-    CONTROL_SESSIONS_SHED,
-    CONTROL_SESSIONS_RESUMED,
-    CONTROL_SESSIONS_FAILOVERS,
-    CONTROL_SESSIONS_STRANDED,
-    CONTROL_SERVERS_DOWN,
-)
-
 
 class ControlPlaneMetrics:
     """Bridges control-plane reports into metrics and decision spans."""
@@ -83,13 +60,6 @@ class ControlPlaneMetrics:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def decision_counts(self) -> dict[str, int]:
-        """How many times each decision event fired, sorted by name."""
-        counts: dict[str, int] = {}
-        for _, event, _ in self.decisions:
-            counts[event] = counts.get(event, 0) + 1
-        return dict(sorted(counts.items()))
-
     def render(self) -> str:
         """Deterministic text table of the decision trail."""
         lines = [f"control-plane decisions ({len(self.decisions)})"]

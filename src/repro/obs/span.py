@@ -86,7 +86,7 @@ class Span:
 
 @dataclass(slots=True)
 class InstantEvent:
-    """A zero-duration marker (a lost frame, a TAP capture)."""
+    """A zero-duration marker (a lost frame, a control-plane decision)."""
 
     name: str
     category: str

@@ -1,11 +1,9 @@
 """Token Ring frame formats.
 
-Only the fields the paper's tools observe are modeled explicitly: the Access
-Control byte (token priority and reservation bits -- what TAP records), the
-Frame Control byte (MAC vs LLC -- how the paper classifies the 20-byte
-housekeeping frames), addresses, total length and the information field.
-Payload *contents* travel as an opaque object reference plus a synthesized
-byte prefix for TAP's 96-byte capture window.
+Only the fields the model acts on are explicit: the token priority, the
+Frame Control byte's frame type (MAC vs LLC -- how the paper classifies the
+20-byte housekeeping frames), addresses, total length and the information
+field.  Payload *contents* travel as an opaque object reference.
 """
 
 from __future__ import annotations
@@ -88,24 +86,6 @@ class Frame:
     def wire_bytes(self) -> int:
         """Total bytes on the wire including 802.5 framing."""
         return self.info_bytes + self.framing_bytes
-
-    def access_control_byte(self, reservation: int = 0) -> int:
-        """Synthesize the AC byte as TAP would record it (PPPTMRRR)."""
-        return ((self.priority & 0x7) << 5) | (reservation & 0x7)
-
-    def frame_control_byte(self) -> int:
-        """Synthesize the FC byte (frame type in the top two bits)."""
-        return 0x00 if self.frame_class is FrameClass.MAC else 0x40
-
-    def capture_prefix(self, limit: int = 96) -> bytes:
-        """First ``limit`` bytes of the information field, as TAP captures.
-
-        Real contents are synthesized deterministically from the frame id so
-        analysis code has stable bytes to look at.
-        """
-        n = min(self.info_bytes, limit)
-        seed = self.frame_id & 0xFF
-        return bytes((seed + i) & 0xFF for i in range(n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

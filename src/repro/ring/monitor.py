@@ -109,8 +109,8 @@ class ActiveMonitor:
         """Purge the ring once (transmitting the Ring Purge MAC frame)."""
         self.stats_purges_issued += 1
         self.ring.purge(duration)
-        # The purge frame itself appears on the wire for TAP to record once
-        # the ring is usable again.
+        # The purge frame itself appears on the wire once the ring is
+        # usable again.
         self.station.transmit(ring_purge_frame(self.station.address))
 
 

@@ -80,7 +80,7 @@ class TokenRing:
         self.hop_ns = calibration.STATION_LATENCY_NS
         self.stations: list = []
         self._by_address: dict[str, object] = {}
-        #: Wire observers (TAP): called as fn(frame, t_wire_start, status).
+        #: Wire observers: called as fn(frame, t_wire_start, status).
         self.monitors: list[Callable[[Frame, int, str], None]] = []
         #: Fault-injection hooks: each is called with the frame at capture
         #: time; if any returns True the frame is corrupted on the wire --

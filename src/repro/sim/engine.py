@@ -494,17 +494,5 @@ class Simulator:
             )
             fn(*args)
 
-    def peek(self) -> Optional[int]:
-        """Time of the next non-cancelled entry, or None if the calendar is empty."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            handle = entry[3]
-            if handle is None or not handle.cancelled:
-                return entry[0]
-            heappop(queue)
-            self._note_tombstone_popped()
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now}ns queued={len(self._queue)}>"

@@ -61,15 +61,6 @@ class CopyLedger:
     def cpu_bytes(self) -> int:
         return sum(rec.bytes for rec in self.cpu.values())
 
-    def copies_per_packet(self, packets: int) -> tuple[float, float]:
-        """(CPU copies, DMA copies) per packet over ``packets`` packets."""
-        if packets == 0:
-            return (0.0, 0.0)
-        return (
-            self.cpu_copy_count() / packets,
-            self.dma_copy_count() / packets,
-        )
-
     def edges(self) -> Iterator[tuple[str, Region, Region, CopyRecord]]:
         """All copy edges, for report tables."""
         for (src, dst), rec in sorted(

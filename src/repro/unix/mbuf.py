@@ -220,14 +220,6 @@ class MbufPool:
         chain.append_data(nbytes)
         return chain
 
-    @staticmethod
-    def buffers_needed(nbytes: int) -> int:
-        """How many pool buffers a chain for ``nbytes`` will use."""
-        full_clusters, tail = divmod(nbytes, CLUSTER_DATA_BYTES)
-        if tail == 0:
-            return full_clusters
-        return full_clusters + 1
-
     # ------------------------------------------------------------------
     # release
     # ------------------------------------------------------------------

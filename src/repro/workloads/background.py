@@ -231,6 +231,3 @@ class BackgroundTraffic:
                 control_drain
             )
         )
-
-    def total_background_frames(self) -> int:
-        return sum(s.stats_sent for s in self.senders)

@@ -340,7 +340,7 @@ def test_measure_observe_only():
         from repro.drivers.vca import VCADriver
         from repro.core.ctmsp import Packet
         """,
-        path="repro/measure/tap.py",
+        path="repro/measure/pcat.py",
     )
     assert [f.rule for f in findings] == ["CTMS302"]
     assert "observe-only" in findings[0].message

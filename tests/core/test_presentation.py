@@ -27,7 +27,7 @@ def test_steady_stream_plays_without_glitches():
     feed(player, sim, times)
     sim.schedule(times[-1] + 1 * MS, player.stop)  # end of the media
     sim.run(until=2 * SEC)
-    assert player.is_glitch_free()
+    assert player.glitches == [] and player.overflow_drops == 0
     assert player.playout_started_at is not None
     # Nearly everything buffered has been played out.
     assert player.bytes_played > 90 * 2000
@@ -96,7 +96,7 @@ def test_attached_to_a_real_session():
     session.stop()
     player.stop()
     assert session.stats.delivered > 400
-    assert player.is_glitch_free()
+    assert player.glitches == [] and player.overflow_drops == 0
     assert player.peak_level <= 12000
 
 

@@ -74,14 +74,6 @@ def test_runner_channel_constants_distinct():
     assert len({CH_VCA_IRQ, CH_HANDLER_ENTRY, CH_PRE_TRANSMIT, CH_RX_CLASSIFIED}) == 4
 
 
-def test_runner_with_tap():
-    result = run_scenario(
-        scenario_a(duration_ns=2 * SEC, seed=9), with_tap=True
-    )
-    assert result.tap is not None
-    assert result.tap.ctmsp_records()
-
-
 def test_testbed_rejects_duplicate_hosts():
     bed = _Testbed(seed=0)
     bed.add_host(HostConfig(name="x"))

@@ -280,14 +280,22 @@ def test_dma_contention_stretches_execution():
 
 def test_contention_factor_accumulates_per_source():
     sim, cpu = make_cpu()
-    cpu.interference_per_source = 0.35
+    cpu.interference_per_source = 0.5
+    trace = []
+
+    def base():
+        yield Exec(100 * US)
+        trace.append(sim.now)
+
+    cpu.spawn_base(base())
+    # Two system-memory DMA transfers from t=0; one ends at t=100us.
     cpu.contention_started()
     cpu.contention_started()
-    assert cpu.contention_factor() == pytest.approx(1.7)
-    cpu.contention_ended()
-    assert cpu.contention_factor() == pytest.approx(1.35)
-    cpu.contention_ended()
-    assert cpu.contention_factor() == 1.0
+    sim.schedule(100 * US, cpu.contention_ended)
+    sim.run()
+    # 100us at 1/2.0 rate -> 50us of work done; the remaining 50us runs
+    # at 1/1.5 rate and takes 75us: total 175us.
+    assert trace == [175 * US]
 
 
 def test_contention_underflow_is_an_error():

@@ -109,8 +109,13 @@ def test_iocm_destination_does_not_contend():
 
 def test_sustained_rate_supports_cd_audio():
     sim, machine, disk = build()
+    done = []
+    for i in range(8):
+        disk.read(i * 16_384, 16_384, Region.IO_CHANNEL, make_handler(done, sim))
+    sim.run()
     # Sequential streaming easily exceeds CD audio's 176.4 KB/s.
-    assert disk.sustained_rate_bytes_per_sec(16_384) > 500_000
+    assert len(done) == 8
+    assert 8 * 16_384 / (done[-1] / SEC) > 500_000
 
 
 def test_empty_read_rejected():

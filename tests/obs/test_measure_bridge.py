@@ -36,28 +36,3 @@ def test_pseudo_driver_without_recorder_unchanged():
     tracer = PseudoDriverTracer(sim)
     tracer.probe("p3")(4)
     assert len(tracer.entries) == 1
-
-
-def test_tap_mirrors_captures_as_instants():
-    from repro.experiments.tracing import run_traced
-    from repro.measure.tap import TapMonitor
-    from repro.sim.units import MS
-
-    # Ride a real run: attach a TAP with the run's recorder to the ring
-    # before traffic starts, then check instants landed on its track.
-    from repro.core.session import CTMSSession
-    from repro.experiments.chaos import profile_host_config
-    from repro.experiments.testbed import Testbed
-
-    bed = Testbed(seed=2)
-    rec = SpanRecorder(bed.sim)
-    tap = TapMonitor(bed.sim, bed.ring, recorder=rec)
-    tx = bed.add_host(profile_host_config("ctmsp", "transmitter"))
-    rx = bed.add_host(profile_host_config("ctmsp", "receiver"))
-    session = CTMSSession(tx.kernel, rx.kernel)
-    session.establish()
-    bed.run(200 * MS)
-    assert tap.records, "tap captured nothing"
-    instants = [i for i in rec.instants if i.track == "tap/capture"]
-    assert len(instants) == len(tap.records)
-    assert instants[0].t_ns == tap.records[0].timestamp_ns

@@ -52,29 +52,9 @@ def test_negative_length_rejected():
         Frame(src="a", dst="b", info_bytes=-1)
 
 
-@given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
-def test_access_control_byte_encodes_priority_and_reservation(prio, resv):
-    frame = Frame(src="a", dst="b", info_bytes=10, priority=prio)
-    ac = frame.access_control_byte(reservation=resv)
-    assert (ac >> 5) & 0x7 == prio
-    assert ac & 0x7 == resv
-
-
 def test_frame_control_byte_distinguishes_mac_from_llc():
-    assert mac_frame("m").frame_control_byte() == 0x00
-    assert Frame(src="a", dst="b", info_bytes=1).frame_control_byte() == 0x40
-
-
-def test_capture_prefix_limited_to_96_bytes():
-    frame = Frame(src="a", dst="b", info_bytes=2000)
-    assert len(frame.capture_prefix()) == 96
-    small = Frame(src="a", dst="b", info_bytes=30)
-    assert len(small.capture_prefix()) == 30
-
-
-def test_capture_prefix_is_deterministic():
-    frame = Frame(src="a", dst="b", info_bytes=50)
-    assert frame.capture_prefix() == frame.capture_prefix()
+    assert mac_frame("m").frame_class is FrameClass.MAC
+    assert Frame(src="a", dst="b", info_bytes=1).frame_class is FrameClass.LLC
 
 
 def test_frame_ids_are_unique():

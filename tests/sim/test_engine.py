@@ -295,14 +295,6 @@ def test_all_of_detaches_on_failure():
         assert ev._callbacks == []
 
 
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    h = sim.schedule(5, lambda: None)
-    sim.schedule(9, lambda: None)
-    h.cancel()
-    assert sim.peek() == 9
-
-
 def test_mass_cancellation_compacts_without_reordering():
     # Cancelling more than half the queue (past the 64-tombstone floor)
     # from inside a running callback rebuilds the heap mid-run; the

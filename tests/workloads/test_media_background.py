@@ -89,16 +89,18 @@ def test_lightweight_sender_stop():
 
 
 def test_background_traffic_produces_the_three_size_classes():
-    from repro.measure.tap import TapMonitor
-
     bed = _Testbed(seed=6, mac_utilization=0.003)
     tx = bed.add_host(HostConfig(name="tx", multiprogramming=True))
     rx = bed.add_host(HostConfig(name="rx", multiprogramming=True))
-    tap = TapMonitor(bed.sim, bed.ring)
+    census = {}
+    bed.ring.monitors.append(
+        lambda frame, _t_ns, _status: census.setdefault(frame.protocol, []).append(
+            frame.wire_bytes
+        )
+    )
     traffic = BackgroundTraffic(bed, [tx, rx], load=1.0)
     traffic.start()
     bed.run(10 * SEC)
-    census = tap.size_census()
     # MAC frames ~20 bytes.
     assert census.get("mac") and max(census["mac"]) <= 25
     # File transfer / telemetry class at 1522 bytes.
@@ -114,7 +116,7 @@ def test_background_load_zero_is_silent():
     traffic = BackgroundTraffic(bed, [tx], load=0.0)
     traffic.start()
     bed.run(2 * SEC)
-    assert traffic.total_background_frames() == 0
+    assert sum(sender.stats_sent for sender in traffic.senders) == 0
     assert traffic.control is None
 
 
