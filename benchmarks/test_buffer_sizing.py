@@ -7,7 +7,9 @@ the buffer space needed for 150KBytes/sec CTMSP data transfer is under
 25KBytes."
 
 We check the sizing against a *measured* loaded-ring trace with ring
-insertions (``repro.experiments.claims.BUFFER_SIZING``).
+insertions: the arrivals of the Test Case B run Figures 5-2 and 5-4 read
+(``claims.TEST_B_RUN``), as the paper sized its buffer from the outliers of
+its figures' run (``repro.experiments.claims.BUFFER_SIZING``).
 """
 
 from repro.experiments.claims import BUFFER_SIZING

@@ -3,8 +3,9 @@
 Paper: a bimodal curve.  The first peak is copy plus code; the second mode
 is CTMSP packets "queued rather than sent immediately" behind the hosts'
 own socket traffic, after which "the system plays catch up for tens of
-CTMSP packets".  The paper's numbers and asserted bands:
-``repro.experiments.claims.FIG_5_2``.
+CTMSP packets".  As in the paper, this is the Test Case B run Figure 5-4
+reads (``claims.TEST_B_RUN``), ring insertions included.  The paper's
+numbers and asserted bands: ``repro.experiments.claims.FIG_5_2``.
 """
 
 from itertools import groupby

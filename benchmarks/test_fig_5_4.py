@@ -5,7 +5,7 @@ Paper: a peak with a loaded-ring shoulder, and two exceptional points at
 Monitor purges the ring ~10 times back to back).
 
 A 6-minute run with the insertion rate raised in proportion
-(``claims.insertions_per_day``) keeps the *per-insertion* signature.  The
+(``claims.run_test_case_b``) keeps the *per-insertion* signature.  The
 paper's numbers and asserted bands: ``repro.experiments.claims.FIG_5_4``.
 """
 

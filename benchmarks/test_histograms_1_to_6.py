@@ -2,8 +2,10 @@
 easily be explained given the total system and its interactions": the
 inter-occurrence histograms 1-4 track the 12 ms VCA period, histogram 5
 stays within the logic analyzer's 440 us, and Test Case A's histogram 6
-is unimodal.  The asserted bands: ``repro.experiments.claims.HISTOGRAMS_A``
-and ``HISTOGRAMS_B``.
+is unimodal.  Each test case's histograms come from the run its figures
+read (Figure 5-3's for Test A, Figures 5-2 and 5-4's for Test B).  The
+asserted bands: ``repro.experiments.claims.HISTOGRAMS_A`` and
+``HISTOGRAMS_B``.
 """
 
 from repro.experiments.claims import HISTOGRAMS_A, HISTOGRAMS_B

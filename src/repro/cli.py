@@ -3,9 +3,9 @@
 ::
 
     python -m repro list                  # what can be run
-    python -m repro fig5-2 [--seconds 60] [--seed 1]
+    python -m repro fig5-2 [--seconds N] [--seed N]   # default: the pinned run
     python -m repro fig5-3
-    python -m repro fig5-4 [--minutes 6]
+    python -m repro fig5-4 [--minutes N]
     python -m repro histograms {a,b}
     python -m repro baseline
     python -m repro copies
@@ -32,26 +32,25 @@ ENTRY_COMMANDS = {"fig5-2": "fig_5_2", "fig5-3": "fig_5_3", "fig5-4": "fig_5_4",
                   "baseline": "baseline_rates", "copies": "copy_counts"}
 
 
+def _duration(args) -> int | None:
+    """``--minutes`` (fig5-4) or ``--seconds`` in ns; None: the pinned run."""
+    if "minutes" in args:
+        return args.minutes and args.minutes * MINUTE
+    return args.seconds and args.seconds * SEC
+
+
 def _cmd_entry(args) -> int:
-    """One ``results/`` table (paper vs measured) at the command's duration."""
+    """One ``results/`` table (paper vs measured) at the command's run;
+    ``histograms`` adds the ASCII plot of each of the seven histograms."""
     from repro.experiments.claims import ENTRIES
 
-    entry = ENTRIES[ENTRY_COMMANDS[args.command]]
-    minutes = getattr(args, "minutes", None)  # fig5-4 is sized in minutes
-    duration = minutes * MINUTE if minutes else args.seconds * SEC
-    print(entry.report(entry.run(duration, args.seed)))
-    return 0
-
-
-def _cmd_histograms(args) -> int:
-    from repro.experiments.claims import ENTRIES
-
-    entry = ENTRIES[f"histograms_case_{args.case}"]
-    result = entry.run(args.seconds * SEC, args.seed)
+    entry = ENTRIES[ENTRY_COMMANDS.get(args.command) or f"histograms_case_{args.case}"]
+    result = entry.run(_duration(args), args.seed)
     print(entry.report(result))
-    for i in sorted(result.histograms):
-        print()
-        print(result.histograms[i].to_ascii(width=50, max_rows=25))
+    if args.command == "histograms":
+        for i in sorted(result.histograms):
+            print()
+            print(result.histograms[i].to_ascii(width=50, max_rows=25))
     return 0
 
 
@@ -59,6 +58,9 @@ def _cmd_ablate(args) -> int:
     from repro.experiments.ablations import ablation_fleet_spec
     from repro.experiments.claims import ABLATIONS
 
+    # The campaign and its resume command spell out the pinned run.
+    args.seconds = args.seconds or ABLATIONS.duration_ns // SEC
+    args.seed = ABLATIONS.seed if args.seed is None else args.seed
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
         spec = ablation_fleet_spec(
             args.seconds * SEC,
@@ -71,6 +73,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from repro.experiments.chaos import (
+        DEFAULT_INTENSITIES,
         chaos_fleet_spec,
         run_campaign,
         run_smoke,
@@ -78,25 +81,20 @@ def _cmd_chaos(args) -> int:
 
     if getattr(args, "scenario", "survival") == "failover":
         return _cmd_chaos_failover(args)
+    intensities = tuple(args.intensities or DEFAULT_INTENSITIES)
     if args.jobs >= 1 or args.seeds > 1 or args.resume:
         spec = chaos_fleet_spec(
             seeds=range(args.seed, args.seed + args.seeds),
             duration_ns=args.seconds * SEC,
-            intensities=(
-                tuple(args.intensities) if args.intensities else (0.5, 1.0, 2.0)
-            ),
+            intensities=intensities,
         )
         return _run_fleet_cli(spec, args)
     if args.smoke:
         report = run_smoke(seed=args.seed)
-    elif args.intensities:
-        report = run_campaign(
-            seed=args.seed,
-            duration_ns=args.seconds * SEC,
-            intensities=tuple(args.intensities),
-        )
     else:
-        report = run_campaign(seed=args.seed, duration_ns=args.seconds * SEC)
+        report = run_campaign(
+            seed=args.seed, duration_ns=args.seconds * SEC, intensities=intensities
+        )
     print(report.render())
     return 0
 
@@ -321,7 +319,7 @@ COMMANDS = {
     "fig5-2": (_cmd_entry, "Figure 5-2: Test B transmit-path histogram"),
     "fig5-3": (_cmd_entry, "Figure 5-3: Test A tx-to-rx histogram"),
     "fig5-4": (_cmd_entry, "Figure 5-4: Test B tx-to-rx with ring insertions"),
-    "histograms": (_cmd_histograms, "All seven histograms for one test case"),
+    "histograms": (_cmd_entry, "All seven histograms for one test case"),
     "baseline": (_cmd_entry, "Stock UNIX relay at 16 vs 150 KB/s"),
     "copies": (_cmd_entry, "Copy counts for the three transfer paths"),
     "ablate": (_cmd_ablate, "Section 5.3 ablation matrix"),
@@ -479,11 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="rollup: machine-readable aggregate",
             )
             continue
-        p.add_argument("--seed", type=int, default=1)
+        # A claim-table command defaults to its entry's pinned run.
+        pinned = name in ENTRY_COMMANDS or name in {"histograms", "ablate"}
+        p.add_argument("--seed", type=int, default=None if pinned else 1)
         if name == "fig5-4":
-            p.add_argument("--minutes", type=positive_int, default=6)
-        elif name == "chaos":
-            # None until parsed, so --smoke can reject an explicit value.
+            p.add_argument("--minutes", type=positive_int, default=None)
+        elif name == "chaos" or pinned:
+            # chaos: None until parsed, so --smoke can reject an explicit value.
             p.add_argument("--seconds", type=positive_int, default=None)
         else:
             p.add_argument("--seconds", type=positive_int, default=30)

@@ -11,10 +11,16 @@ misses the paper there (EXPERIMENTS.md) or its benchmark asserts another
 window.  A band is closed; :func:`above` and :func:`below` make a strict
 end.  An entry none of whose claims has paper text (``"-"``) is an
 extension: the paper has no number for it.
+
+One run per test case, as in the paper: the Test Case A entries read one
+run (``TEST_A_RUN``), the Test Case B entries another (``TEST_B_RUN``).
+Each runner keeps its last result, so a process runs each once; readers
+must not change it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
@@ -31,7 +37,7 @@ from repro.experiments.ring_studies import (
     run_ring_priority,
     run_stream_sweep,
 )
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import RunResult, run_scenario
 from repro.experiments.scenarios import test_case_a, test_case_b
 from repro.experiments.validation import AGREEMENT_TOLERANCE_NS, validate
 from repro.hardware import calibration
@@ -154,22 +160,31 @@ class Figure(Entry):
         return super().banded(result.histograms[self.histogram])
 
 
-def scenario_runner(factory: Callable) -> Callable:
-    """An entry runner for the scenario ``factory(duration_ns, seed)``."""
-    return lambda duration_ns, seed: run_scenario(factory(duration_ns, seed))
-
-
 def _values(*rows: list[str]) -> tuple[list[str], list[list[str]]]:
     """A two-column quantity / value table (no paper column)."""
     return ["quantity", "value"], list(rows)
 
 
-def insertions_per_day(duration_ns: int) -> float:
-    """Figure 5-4's ring-insertion rate for a run of ``duration_ns``: one
-    per ``minutes // 3`` simulated minutes (at least one a minute), so a
-    minutes-scale run sees a few insertions where the paper's 117 minutes
-    at ~1/hour saw two.  720 a day at the benchmark's 6 minutes."""
-    return 24 * 60.0 / max(1, duration_ns // MINUTE // 3)
+@functools.lru_cache(maxsize=1)
+def run_test_case_a(duration_ns: int, seed: int) -> RunResult:
+    """Test Case A: the run Figure 5-3 and histograms 1-7 (Test A) read."""
+    return run_scenario(test_case_a(duration_ns, seed))
+
+
+@functools.lru_cache(maxsize=1)
+def run_test_case_b(duration_ns: int, seed: int) -> RunResult:
+    """Test Case B with ring insertions: the run Figures 5-2 and 5-4,
+    histograms 1-7 (Test B) and Section 6 read, as all read the paper's
+    117-minute run.  One insertion per ``minutes // 3`` simulated minutes
+    (at least one a minute), so a minutes-scale run sees a few where the
+    paper's 117 minutes at ~1/hour saw two: 720 a day at 6 minutes."""
+    per_day = 24 * 60.0 / max(1, duration_ns // MINUTE // 3)
+    return run_scenario(test_case_b(duration_ns, seed, per_day))
+
+
+#: The pinned runs, one per test case.
+TEST_A_RUN = dict(duration_ns=60 * SEC, seed=1)
+TEST_B_RUN = dict(duration_ns=6 * MINUTE, seed=2)
 
 
 # --- Section 5.3: Figures 5-2, 5-3, 5-4 and histograms 1-7 ---
@@ -177,7 +192,7 @@ FIG_5_2 = Figure(
     name="fig_5_2",
     title="Figure 5-2: VCA handler entered to just prior to transmission "
     "(Test Case B)",
-    runner=scenario_runner(test_case_b), seed=1, duration_ns=60 * SEC,
+    runner=run_test_case_b, **TEST_B_RUN,
     histogram=6, ascii_name="histogram 6 (Test B)",
     bin_width=500 * US, ascii_rows=30,
     claims=(
@@ -207,7 +222,7 @@ FIG_5_2 = Figure(
 FIG_5_3 = Figure(
     name="fig_5_3",
     title="Figure 5-3: Transmitter to Receiver Times, Test Case A",
-    runner=scenario_runner(test_case_a), seed=1, duration_ns=60 * SEC,
+    runner=run_test_case_a, **TEST_A_RUN,
     histogram=7, ascii_name="histogram 7 (Test A)",
     bin_width=100 * US, ascii_rows=25,
     claims=(
@@ -229,12 +244,7 @@ FIG_5_3 = Figure(
 FIG_5_4 = Figure(
     name="fig_5_4",
     title="Figure 5-4: Transmitter to Receiver Times, Test Case B",
-    runner=scenario_runner(
-        lambda duration_ns, seed: test_case_b(
-            duration_ns, seed, insertions_per_day(duration_ns)
-        )
-    ),
-    seed=2, duration_ns=6 * MINUTE,
+    runner=run_test_case_b, **TEST_B_RUN,
     histogram=7, ascii_name="histogram 7 (Test B)",
     bin_width=500 * US, ascii_rows=30,
     claims=(
@@ -284,7 +294,7 @@ H5_CEILING = calibration.IRQ_ENTRY_OVERHEAD + 440 * US + 250 * US
 HISTOGRAMS_A = Entry(
     name="histograms_case_a",
     title="Histograms 1-7, Test Case A",
-    runner=scenario_runner(test_case_a), seed=3, duration_ns=40 * SEC,
+    runner=run_test_case_a, **TEST_A_RUN,
     table=_histogram_table,
     claims=(
         # h1: the VCA interrupt source is rock stable; all measured spread
@@ -312,7 +322,7 @@ HISTOGRAMS_A = Entry(
 HISTOGRAMS_B = Entry(
     name="histograms_case_b",
     title="Histograms 1-7, Test Case B",
-    runner=scenario_runner(test_case_b), seed=3, duration_ns=40 * SEC,
+    runner=run_test_case_b, **TEST_B_RUN,
     table=_histogram_table,
     claims=(
         # The interrupt source does not care about system load.
@@ -538,7 +548,9 @@ MEASUREMENT_TOOLS = Entry(
 BUFFER_SIZING = Entry(
     name="buffer_sizing",
     title="Section 6: playout buffer sizing for 150 KB/s CTMSP",
-    runner=run_buffer_sizing, seed=4, duration_ns=4 * MINUTE,
+    runner=lambda duration_ns, seed: run_buffer_sizing(
+        run_test_case_b(duration_ns, seed)),
+    **TEST_B_RUN,
     claims=(
         # The headline conclusion: the paper's sizing is under 25 KB, and a
         # buffer in that class rides out real insertion outages.

@@ -1,12 +1,12 @@
 """Playout-buffer experiments: Section 6's buffer sizing and CD audio.
 
-Each streams over the testbed and then plays the measured arrival trace
-out of a :class:`~repro.core.buffering.PlayoutBuffer`:
+Each plays a measured arrival trace out of a
+:class:`~repro.core.buffering.PlayoutBuffer`:
 
 * :func:`run_buffer_sizing` -- Section 6: "the buffer space needed for
   150KBytes/sec CTMSP data transfer is under 25KBytes", checked against a
-  loaded-ring trace with ring insertions, next to a buffer sized only for
-  the 40 ms ordinary worst case;
+  Test Case B arrival trace with ring insertions, next to a buffer sized
+  only for the 40 ms ordinary worst case;
 * :func:`run_cd_audio` / :func:`play_cd_audio` -- Section 1's Compact Disc
   audio (176.4 KB/s) over CTMSP.
 
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 from repro.core.buffering import PlayoutBuffer, max_drawdown_bytes, required_buffer_bytes
 from repro.core.session import CTMSSession
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import RunResult
 from repro.experiments.scenarios import test_case_b
 from repro.experiments.testbed import HostConfig, Testbed
 from repro.hardware import calibration
-from repro.sim.units import MINUTE, MS, SEC
+from repro.sim.units import MS, SEC
 from repro.workloads.background import BackgroundTraffic
 from repro.workloads.media import CD_AUDIO
 
@@ -54,11 +54,8 @@ class BufferSizing:
     small: PlayoutBuffer  # sized for the 40 ms ordinary worst case
 
 
-def run_buffer_sizing(duration_ns: int = 4 * MINUTE, seed: int = 4) -> BufferSizing:
-    """Test Case B at 40 insertions an hour, and its playout."""
-    result = run_scenario(
-        test_case_b(duration_ns=duration_ns, seed=seed, insertions_per_day=24 * 40.0)
-    )
+def run_buffer_sizing(result: RunResult) -> BufferSizing:
+    """The playout of a Test Case B run's arrival trace."""
     arrivals = result.stream.arrival_times
     # Exact requirement: the worst cumulative drawdown of the trace (two
     # insertions close together compound, so single-gap sizing can

@@ -111,9 +111,9 @@ def test_case_b(
     """The paper's Test Case B (Figures 5-2 and 5-4).
 
     "public network; normal loading of network; transmitter and receiver in
-    multiprocessing mode but not heavily loaded."  Insertions default to off
-    because Figure 5-4's two outliers correspond to a 117-minute run; the
-    PURGE bench turns them on explicitly.
+    multiprocessing mode but not heavily loaded."  Insertions default to off;
+    the run Figures 5-2 and 5-4 read (``claims.run_test_case_b``) and the
+    PURGE bench turn them on explicitly.
     """
     return Scenario(
         name="test-case-B",

@@ -9,7 +9,6 @@ field.  Payload *contents* travel as an opaque object reference.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -17,8 +16,6 @@ from repro.hardware import calibration
 
 #: Destination address meaning "all stations".
 BROADCAST = "*"
-
-_frame_ids = itertools.count(1)
 
 
 class FrameClass(enum.Enum):
@@ -41,9 +38,10 @@ def wire_time_ns(info_bytes: int, framing_bytes: int = calibration.FRAME_OVERHEA
     return total * calibration.TOKEN_RING_NS_PER_BYTE
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Frame:
-    """One frame on the ring."""
+    """One frame on the ring.  Two frames are equal only if they are the
+    same frame, whatever their fields."""
 
     src: str
     dst: str
@@ -59,7 +57,6 @@ class Frame:
     #: housekeeping frames use a minimal header so the whole frame is "on
     #: the order of 20 bytes" as the paper observed.
     framing_bytes: int = calibration.FRAME_OVERHEAD_BYTES
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
     #: Serialization time at 4 Mbit/s, fixed at construction.  A plain
     #: field rather than a property: the ring reads it several times per
     #: capture, and frames are immutable once built.
@@ -86,12 +83,6 @@ class Frame:
     def wire_bytes(self) -> int:
         """Total bytes on the wire including 802.5 framing."""
         return self.info_bytes + self.framing_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Frame #{self.frame_id} {self.protocol} {self.src}->{self.dst} "
-            f"{self.info_bytes}B p{self.priority}>"
-        )
 
 
 #: MAC frames carry a 6-byte major-vector payload inside a 14-byte minimal

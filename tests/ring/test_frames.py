@@ -57,10 +57,10 @@ def test_frame_control_byte_distinguishes_mac_from_llc():
     assert Frame(src="a", dst="b", info_bytes=1).frame_class is FrameClass.LLC
 
 
-def test_frame_ids_are_unique():
+def test_frames_with_equal_fields_are_unequal():
     a = Frame(src="a", dst="b", info_bytes=1)
-    b = Frame(src="a", dst="b", info_bytes=1)
-    assert a.frame_id != b.frame_id
+    assert a != Frame(src="a", dst="b", info_bytes=1)
+    assert a == a
 
 
 @given(st.integers(min_value=0, max_value=20000))

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 
 
 def test_list_shows_all_experiments(capsys):
@@ -30,6 +34,12 @@ def test_copies_runs(capsys):
     paths = ["user_process", "direct_driver", "pointer_passing"]
     matched = {row[0]: row[-1] for row in rows if row and row[0] in paths}
     assert matched == dict.fromkeys(paths, "yes")  # the table's match column
+
+
+@pytest.mark.parametrize(("command", "table"), [("fig5-3", "fig_5_3"), ("fig5-4", "fig_5_4")])
+def test_entry_command_defaults_to_the_pinned_run(command, table, capsys):
+    assert main([command]) == 0
+    assert capsys.readouterr().out == (RESULTS_DIR / f"{table}.txt").read_text()
 
 
 def test_fig5_3_runs(capsys):

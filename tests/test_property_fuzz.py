@@ -44,16 +44,16 @@ def test_ring_delivers_every_unicast_frame_exactly_once(plan):
     stations = [RingStation(ring, f"s{i}") for i in range(4)]
     received: list[tuple[str, int]] = []
     for s in stations:
-        s.receive = lambda f, addr=s.address: received.append((addr, f.frame_id))
+        s.receive = lambda f, addr=s.address: received.append((addr, f.payload))
     sent_ids = []
-    for sender, receiver, nbytes, priority, delay in plan:
+    for index, (sender, receiver, nbytes, priority, delay) in enumerate(plan):
         if sender == receiver:
             continue
         frame = Frame(
             src=f"s{sender}", dst=f"s{receiver}", info_bytes=nbytes,
-            priority=priority, protocol="ip",
+            priority=priority, protocol="ip", payload=index,
         )
-        sent_ids.append((f"s{receiver}", frame.frame_id))
+        sent_ids.append((f"s{receiver}", index))
         sim.schedule(delay * MS, stations[sender].transmit, frame)
     sim.run(until=10 * SEC)
     # Exactly-once delivery to exactly the right station.
