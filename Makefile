@@ -2,7 +2,7 @@ PYTHON ?= python
 
 export PYTHONPATH := src
 
-.PHONY: test lint chaos chaos-par reproduce bench-lint examples trace-demo
+.PHONY: test lint chaos chaos-par reproduce bench-lint examples trace-demo reach
 
 # Static analysis first: a determinism/layering violation fails fast,
 # before the (slower) simulation suites run.
@@ -52,6 +52,12 @@ bench-lint:
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) "$$f" || exit 1; done
+
+# Every src/repro function that no shipped run executes, grouped by file,
+# each with its class from docs/ANALYSIS.md ("Never-run functions").  Runs
+# the shipped entry points under a call recorder: a few minutes.
+reach:
+	$(PYTHON) tests/shipped_calls.py
 
 # The observability layer end to end: the worst-packet waterfall example,
 # then a stock-vs-CTMSP side-by-side Chrome-trace export (trace.json).

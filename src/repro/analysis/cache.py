@@ -28,7 +28,7 @@ from repro.analysis.rules import RULES
 
 #: Bump whenever summaries, rules, or checker behavior change shape or
 #: meaning -- a stale-schema cache must never be trusted.
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 
 def analyzer_fingerprint() -> str:

@@ -21,13 +21,10 @@ from repro.analysis.rules import (
     GLOBAL_RANDOM_FUNCTIONS,
     PROCESS_MACHINERY_MODULES,
     RULES,
+    SCHEDULING_METHODS,
     WALL_CLOCK_DATETIME_METHODS,
     WALL_CLOCK_TIME_FUNCTIONS,
 )
-
-#: Calendar entry points whose first positional argument is a delay or an
-#: absolute simulated time, both integer nanoseconds.
-_SCHEDULING_METHODS = frozenset({"schedule", "at", "timeout"})
 
 #: Unit-conversion helpers that *return* floats (and so must never feed a
 #: delay without an int()/round() around them).
@@ -332,7 +329,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         """CTMS201: float expressions feeding the event calendar."""
         name = _call_name(node.func)
         candidates: list[tuple[str, ast.expr]] = []
-        if name in _SCHEDULING_METHODS and isinstance(node.func, ast.Attribute):
+        if name in SCHEDULING_METHODS and isinstance(node.func, ast.Attribute):
             if node.args:
                 candidates.append((f"{name}() delay", node.args[0]))
         for kw in node.keywords:
@@ -356,7 +353,7 @@ class DeterminismVisitor(ast.NodeVisitor):
                 if (
                     isinstance(inner, ast.Call)
                     and isinstance(inner.func, ast.Attribute)
-                    and inner.func.attr in (_SCHEDULING_METHODS | {"process"})
+                    and inner.func.attr in SCHEDULING_METHODS
                 ):
                     self._emit(
                         "CTMS104",

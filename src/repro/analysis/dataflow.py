@@ -37,6 +37,7 @@ from repro.analysis.rules import (
     DIMENSION_SUFFIXES,
     RATE_DIMENSIONS,
     RULES,
+    SCHEDULING_METHODS,
     TIME_DIMENSIONS,
 )
 
@@ -66,8 +67,6 @@ _FLOAT_TIME_RETURNING = {"to_us": "us", "to_ms": "ms", "to_sec": "s"}
 #: Name prefixes exempt from suffix-based dimension inference: ``from_us``
 #: names its *input* unit, not its result.
 _CONVERSION_PREFIXES = ("from_", "to_", "as_", "is_", "per_")
-
-_SCHEDULING_METHODS = frozenset({"schedule", "at", "timeout"})
 
 
 @functools.cache
@@ -152,7 +151,8 @@ class CallRecord:
     args: list[Value] = field(default_factory=list)
     kwargs: dict[str, Value] = field(default_factory=dict)
     #: Symbolic ref of the callable scheduled onto the calendar, when this
-    #: is a ``.schedule()/.at()`` call with a resolvable callback arg.
+    #: is a ``.schedule()/.at()`` call (or a ``_fast`` twin) with a
+    #: resolvable callback arg.
     callback: Optional[list] = None
 
     def to_dict(self) -> dict:
@@ -393,7 +393,7 @@ class FunctionAnalyzer:
         name = ref[-1] if ref else ""
         sched = (
             name
-            if name in _SCHEDULING_METHODS and isinstance(call.func, ast.Attribute)
+            if name in SCHEDULING_METHODS and isinstance(call.func, ast.Attribute)
             else None
         )
         record = CallRecord(
@@ -411,7 +411,7 @@ class FunctionAnalyzer:
                 if kw.arg is not None
             },
         )
-        if sched in ("schedule", "at") and len(call.args) >= 2:
+        if sched is not None and sched != "timeout" and len(call.args) >= 2:
             record.callback = symbolic_ref(call.args[1])
         self.calls.append(record)
         self._check_call_units(call, record)

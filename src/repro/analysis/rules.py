@@ -286,6 +286,14 @@ CONTROL_POLICY_NAMES: frozenset[str] = frozenset(
     {"decide_admission", "select_server", "select_victims", "plan_failover"}
 )
 
+#: Calendar entry points whose first positional argument is a delay or an
+#: absolute simulated time, both integer nanoseconds: the cancellable tier,
+#: the allocation-free ``*_fast`` tier and ``timeout``.  CTMS104, CTMS201,
+#: CTMS212 and CTMS112 all key on this one set.
+SCHEDULING_METHODS: frozenset[str] = frozenset(
+    {"schedule", "schedule_fast", "at", "at_fast", "timeout"}
+)
+
 # ----------------------------------------------------------------------
 # Whole-program (v2) vocabulary
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ Two rules report on the result:
   impure, anchored at the *caller's* line so the finding lands where the
   refactor has to happen;
 * **CTMS112** -- an impure function scheduled onto the event calendar
-  (``.schedule()/.at()`` callback), anchored at the function's ``def``.
+  (``.schedule()/.at()`` callback or a ``_fast`` twin), anchored at the
+  function's ``def``.
 
 The sanctioned homes (``sim/rng.py``, ``experiments/fleet.py``) are
 boundaries: functions there are never impure and calls into them do not

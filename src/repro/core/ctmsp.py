@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.hardware import calibration
 from repro.ring.frames import Frame
 
 #: CTMSP's own header inside the information field: destination device
@@ -100,21 +99,3 @@ class CTMSPPacket:
             protocol="ctmsp",
             payload=self,
         )
-
-
-def standard_packet(
-    stream_id: int,
-    packet_no: int,
-    dst_device: int,
-    header: Optional[PrecomputedHeader] = None,
-    born_at: int = 0,
-) -> CTMSPPacket:
-    """The paper's 2000-byte packet (header + filler to 2000 bytes)."""
-    return CTMSPPacket(
-        stream_id=stream_id,
-        packet_no=packet_no,
-        dst_device=dst_device,
-        data_bytes=calibration.CTMSP_PACKET_BYTES - CTMSP_HEADER_BYTES,
-        header=header,
-        born_at=born_at,
-    )

@@ -106,9 +106,6 @@ class DiskStreamSource:
         self._pacing = False
         self._fill_readahead()
 
-    def stop(self) -> None:
-        self._running = False
-
     # ------------------------------------------------------------------
     # read-ahead
     # ------------------------------------------------------------------
@@ -119,8 +116,6 @@ class DiskStreamSource:
         cannot starve the media stream -- the scheduling discipline a
         continuous-media server needs.
         """
-        if not self._running:
-            return
         while (
             self._buffered + self._outstanding_bytes
             < self.config.readahead_high_water
@@ -152,8 +147,6 @@ class DiskStreamSource:
     # pacing
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.cpu.raise_irq(
             calibration.SPL_VCA, self._tick_handler, name="disk-stream"
         )

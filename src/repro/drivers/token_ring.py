@@ -340,11 +340,6 @@ class TokenRingDriver:
         self._ctms_sinks.append((classify, deliver))
 
     @property
-    def ctms_classify(self):
-        """First registered classifier (compatibility accessor)."""
-        return self._ctms_sinks[0][0] if self._ctms_sinks else None
-
-    @property
     def ctms_deliver(self):
         """First registered deliver handle (compatibility accessor)."""
         return self._ctms_sinks[0][1] if self._ctms_sinks else None

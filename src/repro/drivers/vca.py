@@ -26,12 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-from repro.core.ctmsp import (
-    CTMSP_HEADER_BYTES,
-    CTMSPPacket,
-    PrecomputedHeader,
-    standard_packet,
-)
+from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket, PrecomputedHeader
 from repro.core.recovery import SequenceTracker
 from repro.core.stream import StreamStats
 from repro.hardware import calibration

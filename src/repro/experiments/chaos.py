@@ -164,22 +164,6 @@ class ChaosRun:
             "events": self.events,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosRun":
-        return cls(
-            profile=data["profile"],
-            intensity=data["intensity"],
-            delivered=data["delivered"],
-            lost_packets=data["lost_packets"],
-            throughput_bytes_per_sec=data["throughput_bytes_per_sec"],
-            setup_attempts=data["setup_attempts"],
-            established=data["established"],
-            violated=list(data["violated"]),
-            seed=data.get("seed", 0),
-            plan_hash=data.get("plan_hash", ""),
-            events=data.get("events", 0),
-        )
-
 
 def run_one(
     profile: str,

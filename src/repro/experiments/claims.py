@@ -126,11 +126,6 @@ class Entry:
         """Each banded claim with the value it reads off ``result``."""
         return [(c, c.read(result)) for c in self.claims if c.band is not None]
 
-    @property
-    def extension(self) -> bool:
-        """True when the paper states none of the entry's quantities."""
-        return all(c.paper == "-" for c in self.claims)
-
 
 @dataclass(frozen=True, kw_only=True)
 class Figure(Entry):

@@ -7,8 +7,10 @@ using only hooks the hardware and ring models expose:
   corruption filters (``ring.fault_filters``), or attach a hostile
   high-priority traffic station;
 * adapter kinds poke the Token Ring adapter's ``fault_*`` knobs;
-* host kinds lean on the CPU contention hooks (a phantom DMA competitor)
-  and the disk's ``fault_extra_service_ns``.
+* the host kind leans on the CPU contention hooks (a phantom DMA
+  competitor);
+* the media-server kind halts the host's VCA sources and wedges its
+  Token Ring adapter.
 
 Determinism: the injector draws all stochastic behaviour (storm spacing,
 partial frame loss) from the testbed's named RNG streams, so the same seed
@@ -183,25 +185,6 @@ class FaultInjector:
     def _end_rx_delay(adapter) -> None:
         adapter.fault_rx_delay_ns = 0
 
-    def _do_rx_buffer_exhaustion(self, event: FaultEvent) -> None:
-        host = self._host(event)
-        if host is None:
-            return
-        adapter = host.tr_adapter
-        adapter.fault_seize_rx_buffers()
-        self.sim.schedule(
-            int(event.params["duration_ns"]),
-            adapter.fault_release_rx_buffers,
-        )
-
-    def _do_drop_tx_complete(self, event: FaultEvent) -> None:
-        host = self._host(event)
-        if host is None:
-            return
-        adapter = host.tr_adapter
-        adapter.fault_drop_tx_complete += int(event.params["count"])
-        adapter.fault_drop_tx_complete_delay_ns = int(event.params["delay_ns"])
-
     # ------------------------------------------------------------------
     # host-level kinds
     # ------------------------------------------------------------------
@@ -221,34 +204,6 @@ class FaultInjector:
     def _end_cpu_steal(cpu, layers: int) -> None:
         for _ in range(layers):
             cpu.contention_ended()
-
-    def _do_disk_slow(self, event: FaultEvent) -> None:
-        host = self._host(event)
-        if host is None:
-            return
-        extra = int(event.params["extra_ns"])
-        disks = [
-            a
-            for a in host.machine.adapters.values()
-            if hasattr(a, "fault_extra_service_ns")
-        ]
-        if not disks:
-            self.stats_skipped_no_target += 1
-            return
-        for disk in disks:
-            disk.fault_extra_service_ns += extra
-            self.sim.schedule(
-                int(event.params["duration_ns"]),
-                self._end_disk_slow,
-                disk,
-                extra,
-            )
-
-    @staticmethod
-    def _end_disk_slow(disk, extra: int) -> None:
-        disk.fault_extra_service_ns = max(
-            0, disk.fault_extra_service_ns - extra
-        )
 
     # ------------------------------------------------------------------
     # media-server kinds
@@ -282,32 +237,3 @@ class FaultInjector:
         tr.fault_tx_stall_until = self._NEVER_NS
         tr.fault_seize_rx_buffers()
         host.crashed = True
-
-    def _do_server_stall(self, event: FaultEvent) -> None:
-        """Freeze the media server for a window, then resume it.
-
-        Only VCA sources that were actually running when the stall hit are
-        restarted, on a tick grid rebased at the resume instant -- a stalled
-        server must not replay every missed 12 ms edge as a burst.
-        """
-        host = self._host(event)
-        if host is None:
-            return
-        duration = int(event.params["duration_ns"])
-        stalled = [
-            a for a in self._host_vca_adapters(host) if a.running
-        ]
-        for adapter in stalled:
-            adapter.stop()
-        tr = host.tr_adapter
-        tr.fault_tx_stall_until = max(
-            tr.fault_tx_stall_until, self.sim.now + duration
-        )
-        self.sim.schedule(duration, self._end_server_stall, host, stalled)
-
-    @staticmethod
-    def _end_server_stall(host, stalled: list) -> None:
-        if getattr(host, "crashed", False):
-            return  # a crash while stalled wins: the server stays dead
-        for adapter in stalled:
-            adapter.start(align_to_now=True)

@@ -21,12 +21,8 @@ token_starvation       ring    hostile high-priority traffic holding the token
 frame_loss             ring    frames of one protocol corrupted on the wire
 tx_stall               adapter adapter ignores the transmit command for a while
 rx_delay               adapter receive-interrupt coalescing/delay
-rx_buffer_exhaustion   adapter fixed receive DMA buffers all busy
-drop_tx_complete       adapter transmit-complete interrupts swallowed
 cpu_steal              host    a DMA-class competitor slowing copyin/copyout
-disk_slow              host    source disk serving reads late (seek storm)
 server_crash           server  media server dies mid-stream (fail-stop, stays down)
-server_stall           server  media server freezes, then resumes after a window
 =====================  ======  ==============================================
 """
 
@@ -39,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.hardware import calibration
-from repro.sim.units import HOUR, MS, SEC
+from repro.sim.units import MS, SEC
 
 #: Ring-level fault kinds (no target host; they wound the shared medium).
 RING_KINDS = frozenset(
@@ -53,19 +49,16 @@ RING_KINDS = frozenset(
 )
 
 #: Adapter/driver-level fault kinds (require a target host).
-ADAPTER_KINDS = frozenset(
-    {"tx_stall", "rx_delay", "rx_buffer_exhaustion", "drop_tx_complete"}
-)
+ADAPTER_KINDS = frozenset({"tx_stall", "rx_delay"})
 
 #: Host-level fault kinds (require a target host).
-HOST_KINDS = frozenset({"cpu_steal", "disk_slow"})
+HOST_KINDS = frozenset({"cpu_steal"})
 
 #: Media-server fault kinds (require a target host).  ``server_crash`` is
 #: fail-stop: every VCA source on the host halts, its transmit path wedges,
 #: and its receive buffers never come back -- the host stays dead for the
-#: rest of the run.  ``server_stall`` freezes the same machinery for a
-#: window, then restarts the sources on a rebased tick grid.
-SERVER_KINDS = frozenset({"server_crash", "server_stall"})
+#: rest of the run.
+SERVER_KINDS = frozenset({"server_crash"})
 
 #: Every kind an injector knows how to apply.
 FAULT_KINDS = RING_KINDS | ADAPTER_KINDS | HOST_KINDS | SERVER_KINDS
@@ -227,27 +220,6 @@ class FaultPlan:
             at_ns, "rx_delay", host=host, duration_ns=duration_ns, delay_ns=delay_ns
         )
 
-    def rx_buffer_exhaustion(
-        self, at_ns: int, duration_ns: int, host: str
-    ) -> "FaultPlan":
-        """All fixed receive DMA buffers busy; arrivals overrun."""
-        return self.add(
-            at_ns, "rx_buffer_exhaustion", host=host, duration_ns=duration_ns
-        )
-
-    def drop_tx_complete(
-        self, at_ns: int, host: str, count: int = 1, delay_ns: int = 0
-    ) -> "FaultPlan":
-        """Swallow the next ``count`` transmit-complete interrupts.
-
-        With ``delay_ns`` > 0 the interrupt is delivered late instead of
-        never -- the difference between a degraded stream and a wedged
-        transmit path the invariant monitor must catch.
-        """
-        return self.add(
-            at_ns, "drop_tx_complete", host=host, count=count, delay_ns=delay_ns
-        )
-
     # ------------------------------------------------------------------
     # host-level builders
     # ------------------------------------------------------------------
@@ -257,14 +229,6 @@ class FaultPlan:
         """``layers`` DMA-class competitors stretch every CPU copy."""
         return self.add(
             at_ns, "cpu_steal", host=host, duration_ns=duration_ns, layers=layers
-        )
-
-    def disk_slow(
-        self, at_ns: int, duration_ns: int, host: str, extra_ns: int = 30 * MS
-    ) -> "FaultPlan":
-        """Every disk read pays ``extra_ns`` more (a competing seek storm)."""
-        return self.add(
-            at_ns, "disk_slow", host=host, duration_ns=duration_ns, extra_ns=extra_ns
         )
 
     # ------------------------------------------------------------------
@@ -279,19 +243,6 @@ class FaultPlan:
         only a control plane with a replica can save them.
         """
         return self.add(at_ns, "server_crash", host=host)
-
-    def server_stall(
-        self, at_ns: int, duration_ns: int, host: str
-    ) -> "FaultPlan":
-        """The media server freezes for a window, then resumes.
-
-        Models a GC pause, a swap storm, or an operator mistake: the DSP
-        timers stop for ``duration_ns`` and then restart on a tick grid
-        rebased at the resume instant (no catch-up interrupt burst).
-        """
-        return self.add(
-            at_ns, "server_stall", host=host, duration_ns=duration_ns
-        )
 
     # ------------------------------------------------------------------
     # interrogation
@@ -309,18 +260,6 @@ class FaultPlan:
     def validate(self) -> None:
         for event in self.events:
             event.validate()
-
-    def horizon_ns(self) -> int:
-        """Last instant any event is still active (start + duration)."""
-        horizon = 0
-        for event in self.events:
-            duration = int(event.params.get("duration_ns", 0))
-            if event.kind == "purge_burst":
-                duration = int(event.params.get("count", 1)) * int(
-                    event.params.get("spacing_ns", calibration.RING_PURGE_DURATION)
-                )
-            horizon = max(horizon, event.at_ns + duration)
-        return horizon
 
     def describe(self) -> str:
         lines = [f"FaultPlan ({len(self.events)} events)"]
@@ -362,7 +301,6 @@ class FaultPlan:
         intensity: float = 1.0,
         hosts: Optional[list[str]] = None,
         start_ns: int = 250 * MS,
-        kinds: Optional[list[str]] = None,
     ) -> "FaultPlan":
         """A seeded random plan whose severity scales with ``intensity``.
 
@@ -378,7 +316,7 @@ class FaultPlan:
         if intensity == 0 or duration_ns <= start_ns:
             return plan
         window = duration_ns - start_ns
-        chosen_kinds = kinds or [
+        kinds = [
             "purge",
             "purge_burst",
             "soft_error_storm",
@@ -390,7 +328,7 @@ class FaultPlan:
         # ~2 events/sim-second at intensity 1.0, at least one.
         count = max(1, round(2.0 * intensity * (window / SEC)))
         for _ in range(count):
-            kind = rng.choice(chosen_kinds)
+            kind = rng.choice(kinds)
             at = start_ns + rng.randrange(window)
             if kind in RING_KINDS:
                 host = None

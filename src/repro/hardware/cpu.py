@@ -349,7 +349,6 @@ class CPU:
         # The op classes are final by convention (nothing in the tree
         # subclasses them), so exact type checks replace isinstance here --
         # this dispatch chain runs once per generator step of every frame.
-        # Event stays an isinstance check: Process subclasses it.
         gen_send = frame.gen.send
         while True:
             try:
@@ -390,7 +389,7 @@ class CPU:
                 if op.level < old and self._dispatch_best_pending(frame):
                     return
                 continue
-            if cls is Wait or isinstance(op, Event):
+            if cls is Wait or cls is Event:
                 event = op.event if cls is Wait else op
                 if frame.level > 0:
                     raise SimulationError(

@@ -57,9 +57,6 @@ class DiskAdapter:
         self._queue: list[tuple[int, int, int, int, Region, Callable]] = []
         self._seq = 0
         self._head_offset = 0
-        #: Fault injection: extra service time per read (a competing seek
-        #: storm), set by repro.faults.injectors.
-        self.fault_extra_service_ns = 0
         # --- statistics ---
         self.stats_reads = 0
         self.stats_bytes = 0
@@ -122,14 +119,10 @@ class DiskAdapter:
         else:
             seek = DISK_AVG_SEEK + DISK_ROTATIONAL_LATENCY
             self.stats_seeks += 1
-        return seek + nbytes * DISK_NS_PER_BYTE + self.fault_extra_service_ns
+        return seek + nbytes * DISK_NS_PER_BYTE
 
     def _read_done(self, contends: bool, on_done: Callable) -> None:
         if contends:
             self.cpu.contention_ended()
         self.cpu.raise_irq(self.irq_level, on_done, name=f"{self.name}-io")
         self._start_next()
-
-    @property
-    def busy(self) -> bool:
-        return self._busy

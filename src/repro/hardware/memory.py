@@ -98,17 +98,6 @@ class MemorySystem:
         #: Total bytes of IO Channel Memory fitted (informational).
         self.io_channel_bytes = 512 * 1024 if has_io_channel_memory else 0
 
-    def allocate(
-        self, name: str, region: Region, capacity: int, owner: str = ""
-    ) -> MemoryRegion:
-        """Allocate a named region; IO Channel requests need the card fitted."""
-        if region is Region.IO_CHANNEL and not self.has_io_channel_memory:
-            raise ValueError(
-                "machine has no IO Channel Memory card; cannot allocate "
-                f"{name!r} there"
-            )
-        return MemoryRegion(name, region, capacity, owner or None)
-
     @staticmethod
     def dma_involves_cpu_memory(*regions: Region) -> bool:
         """True if a DMA touching ``regions`` contends with the CPU."""

@@ -78,11 +78,6 @@ class TokenRingAdapter:
         self.fault_tx_stall_until = 0
         #: Extra delay before each receive interrupt (coalescing fault).
         self.fault_rx_delay_ns = 0
-        #: Number of upcoming transmit-complete interrupts to swallow.
-        self.fault_drop_tx_complete = 0
-        #: If > 0, a "dropped" tx-complete is delivered this late instead of
-        #: never (a degraded path rather than a wedged one).
-        self.fault_drop_tx_complete_delay_ns = 0
         self._fault_rx_seized = 0
         self._fault_rx_active = False
 
@@ -92,8 +87,6 @@ class TokenRingAdapter:
         self.stats_rx_overruns = 0
         self.stats_tx_lost_in_purge = 0
         self.stats_tx_stalled_ns = 0
-        self.stats_tx_complete_dropped = 0
-        self.stats_tx_complete_delayed = 0
 
     # ------------------------------------------------------------------
     # transmit path
@@ -144,20 +137,6 @@ class TokenRingAdapter:
                 )
                 return
         if self.on_tx_complete is None:
-            return
-        if self.fault_drop_tx_complete > 0:
-            self.fault_drop_tx_complete -= 1
-            if self.fault_drop_tx_complete_delay_ns > 0:
-                self.stats_tx_complete_delayed += 1
-                self.sim.schedule_fast(
-                    self.fault_drop_tx_complete_delay_ns,
-                    self.cpu.raise_irq,
-                    self.irq_level,
-                    self.on_tx_complete,
-                    "tr-txdone",
-                )
-            else:
-                self.stats_tx_complete_dropped += 1
             return
         self.cpu.raise_irq(
             self.irq_level, self.on_tx_complete, name="tr-txdone"
@@ -212,8 +191,8 @@ class TokenRingAdapter:
         if self._rx_buffers_free + self._fault_rx_seized >= self.rx_buffer_count:
             raise SimulationError("rx buffer release underflow")
         if self._fault_rx_active:
-            # An exhaustion fault is active: the freed buffer is captured by
-            # the fault instead of returning to the pool.
+            # The buffers are seized (a crashed server): the freed buffer is
+            # captured instead of returning to the pool.
             self._fault_rx_seized += 1
         else:
             self._rx_buffers_free += 1
@@ -222,22 +201,14 @@ class TokenRingAdapter:
     # fault-injection controls (repro.faults.injectors)
     # ------------------------------------------------------------------
     def fault_seize_rx_buffers(self) -> int:
-        """Mark every currently-free receive DMA buffer busy (exhaustion).
+        """Mark every receive DMA buffer busy for the rest of the run.
 
-        Arrivals during the seize window overrun exactly as when the host
-        falls behind.  Returns the number of buffers captured now; buffers
-        released by the driver while the fault is active are captured too.
+        Later arrivals overrun exactly as when the host falls behind.
+        Returns the number of buffers captured now; buffers the driver
+        releases afterwards are captured too.
         """
         self._fault_rx_active = True
         seized = self._rx_buffers_free
         self._fault_rx_seized += seized
         self._rx_buffers_free = 0
         return seized
-
-    def fault_release_rx_buffers(self) -> None:
-        """End an exhaustion fault: captured buffers return to the pool."""
-        if not self._fault_rx_active:
-            return
-        self._fault_rx_active = False
-        self._rx_buffers_free += self._fault_rx_seized
-        self._fault_rx_seized = 0

@@ -84,11 +84,10 @@ class VoiceCommunicationsAdapter:
         """Load the DSP timer program and start the periodic interrupt.
 
         ``align_to_now`` rebases the nominal tick grid at the current
-        simulated instant.  A failover replica (or a server recovering from
-        a stall) starts its DSP mid-run; without rebasing, ``nominal =
-        tick * period`` would sit far in the past and the timer would spray
-        a catch-up burst of back-to-back interrupts.  The default keeps the
-        historical boot-time grid.
+        simulated instant.  A failover replica starts its DSP mid-run;
+        without rebasing, ``nominal = tick * period`` would sit far in the
+        past and the timer would spray a catch-up burst of back-to-back
+        interrupts.  The default keeps the historical boot-time grid.
         """
         if self._running:
             return
@@ -102,11 +101,6 @@ class VoiceCommunicationsAdapter:
         """Halt the DSP timer."""
         self._running = False
         self._timer_epoch += 1
-
-    @property
-    def running(self) -> bool:
-        """True while the DSP timer program is loaded and ticking."""
-        return self._running
 
     # ------------------------------------------------------------------
     # timer mechanics

@@ -84,12 +84,7 @@ class PcatTimestamper:
             self._marker_running = True
             self._marker_tick()
 
-    def stop(self) -> None:
-        self._marker_running = False
-
     def _marker_tick(self) -> None:
-        if not self._marker_running:
-            return
         self._edge(MARKER_CHANNEL, self.sim.now, 1)
         self.sim.schedule_fast(calibration.PCAT_ROLLOVER_MARKER_PERIOD, self._marker_tick)
 

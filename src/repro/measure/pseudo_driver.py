@@ -80,7 +80,3 @@ class PseudoDriverTracer:
 
     def times(self, point: str) -> list[int]:
         return [e.quantized_ns for e in self.entries if e.point == point]
-
-    def intervals(self, point: str) -> list[int]:
-        ts = self.times(point)
-        return [b - a for a, b in zip(ts, ts[1:])]

@@ -28,16 +28,6 @@ class FrameClass(enum.Enum):
     LLC = "llc"
 
 
-def wire_time_ns(info_bytes: int, framing_bytes: int = calibration.FRAME_OVERHEAD_BYTES) -> int:
-    """Time to serialize a frame with ``info_bytes`` of information field.
-
-    Includes the 802.5 framing (21 bytes for LLC frames) around the
-    information field.
-    """
-    total = info_bytes + framing_bytes
-    return total * calibration.TOKEN_RING_NS_PER_BYTE
-
-
 @dataclass(slots=True, eq=False)
 class Frame:
     """One frame on the ring.  Two frames are equal only if they are the

@@ -69,9 +69,6 @@ class ActiveMonitor:
         if self.soft_errors_per_hour > 0:
             self._schedule_soft_error()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _schedule_soft_error(self) -> None:
         from repro.sim.units import HOUR
 
@@ -82,8 +79,6 @@ class ActiveMonitor:
         self.sim.schedule_fast(gap, self._soft_error)
 
     def _soft_error(self) -> None:
-        if not self._running:
-            return
         self.stats_soft_errors += 1
         self.purge()
         self._schedule_soft_error()
@@ -99,8 +94,6 @@ class ActiveMonitor:
         return max(1, round(self._rng.expovariate(rate)))
 
     def _emit_mac(self) -> None:
-        if not self._running:
-            return
         self.stats_mac_frames += 1
         self.station.transmit(mac_frame(self.station.address))
         self.sim.schedule_fast(self._next_gap(), self._emit_mac)

@@ -1,17 +1,15 @@
-"""The discrete-event engine: simulator, events, coroutine processes.
+"""The discrete-event engine: simulator, events, callbacks.
 
 The design follows the classic event-calendar pattern: a calendar of
 ``(time, sequence, action)`` entries, a monotonically non-decreasing ``now``,
-and two complementary programming models on top:
-
-* **callbacks** -- ``sim.schedule(delay, fn, *args)`` for fire-and-forget
-  hardware behaviour (an adapter raising an interrupt line);
-* **coroutine processes** -- generators that ``yield`` :class:`Event` objects,
-  for behaviours with sequential structure (a driver transmit path, a traffic
-  generator loop).
-
-Both models interoperate: a callback can ``succeed()`` an event a process is
-waiting on, and a process can schedule callbacks.
+and one programming model on top: **callbacks** --
+``sim.schedule(delay, fn, *args)`` for fire-and-forget hardware behaviour
+(an adapter raising an interrupt line).  An :class:`Event` is a one-shot
+occurrence whose waiters are callbacks, run through the calendar when it
+resolves.  Behaviours with sequential structure (a driver transmit path, a
+user process) are generator frames on the modelled CPU
+(:mod:`repro.hardware.cpu`), which block on events and resume from their
+callbacks.
 
 The calendar is one binary heap (``heapq``) of plain tuples::
 
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import random
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 #: Sentinel bound for run(until=None): beyond any representable sim time.
 _FOREVER = 1 << 62
@@ -46,17 +44,13 @@ class SimulationError(RuntimeError):
     """Raised for illegal uses of the simulation kernel."""
 
 
-class ProcessKilled(Exception):
-    """Thrown into a process generator when :meth:`Process.kill` is called."""
-
-
 class Event:
-    """A one-shot occurrence that callbacks and processes can wait on.
+    """A one-shot occurrence that callbacks can wait on.
 
     An event starts *pending*; exactly one call to :meth:`succeed` (or
     :meth:`fail`) resolves it, after which its callbacks run within the same
-    simulated instant.  Waiting on an already-resolved event resumes the
-    waiter immediately (still via the calendar, preserving causal ordering).
+    simulated instant.  A callback added to an already-resolved event runs
+    immediately (still via the calendar, preserving causal ordering).
     """
 
     __slots__ = ("sim", "_callbacks", "_ok", "value", "name")
@@ -106,7 +100,7 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        """Resolve the event with an exception; waiting processes see a raise."""
+        """Resolve the event with an exception as its value (``ok`` is False)."""
         self._resolve(False, exception)
         return self
 
@@ -145,79 +139,12 @@ class Handle:
             self._sim._note_cancel()
 
 
-class Process(Event):
-    """A coroutine behaviour: a generator that yields :class:`Event` objects.
-
-    The process is itself an :class:`Event` that succeeds with the
-    generator's return value, so processes can wait on each other.  Throwing
-    :class:`ProcessKilled` into the generator via :meth:`kill` terminates it;
-    a killed process *fails* with the :class:`ProcessKilled` instance unless
-    the generator swallows the exception and returns normally.
-    """
-
-    __slots__ = ("_gen", "_waiting_on")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        gen: Generator[Event, Any, Any],
-        name: str = "",
-    ) -> None:
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
-        self._gen = gen
-        self._waiting_on: Optional[Event] = None
-        sim.schedule_fast(0, self._step, None)
-
-    def kill(self) -> None:
-        """Terminate the process by throwing :class:`ProcessKilled` into it."""
-        if self.triggered:
-            return
-        self._waiting_on = None
-        exc = ProcessKilled(self.name)
-        try:
-            self._gen.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except ProcessKilled:
-            self.fail(exc)
-            return
-        # Generator swallowed the kill and yielded again: treat as a bug --
-        # a killed behaviour must wind down, not keep scheduling work.
-        raise SimulationError(f"process {self.name} ignored kill()")
-
-    def _step(self, fired: Optional[Event]) -> None:
-        if self._ok is not None:
-            return
-        if fired is not None and fired is not self._waiting_on:
-            return  # stale wakeup from an event we stopped waiting on
-        self._waiting_on = None
-        try:
-            if fired is not None and not fired.ok:
-                target = self._gen.throw(fired.value)
-            else:
-                target = self._gen.send(fired.value if fired is not None else None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name} yielded {target!r}; processes may only "
-                "yield Event objects"
-            )
-        self._waiting_on = target
-        target.add_callback(self._step)
-
-
 class Simulator:
     """The event calendar.
 
     ``now`` is the current simulated time in nanoseconds.  All mutation of
-    simulated state must happen from inside a scheduled callback or process
-    step; the calendar guarantees callbacks run in (time, FIFO) order.
+    simulated state must happen from inside a scheduled callback; the
+    calendar guarantees callbacks run in (time, FIFO) order.
 
     **Tombstones.**  Cancelling a :class:`Handle` does not remove its entry;
     the dispatch loop skips it when popped.  Cancellation-heavy models (CPU
@@ -375,12 +302,6 @@ class Simulator:
         self.schedule_fast(delay_ns, ev.succeed, value)
         return ev
 
-    def process(
-        self, gen: Generator[Event, Any, Any], name: str = ""
-    ) -> Process:
-        """Start a coroutine process (begins running at the current instant)."""
-        return Process(self, gen, name=name)
-
     def any_of(self, events: Iterable[Event]) -> Event:
         """An event that succeeds when the first of ``events`` succeeds.
 
@@ -403,43 +324,6 @@ class Simulator:
 
         for ev in events:
             ev.add_callback(on_fire)
-        return combined
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that succeeds when all of ``events`` have succeeded."""
-        events = list(events)
-        combined = self.event(name="all_of")
-        remaining = len(events)
-        if remaining == 0:
-            combined.succeed([])
-            return combined
-        values: list[Any] = [None] * remaining
-        callbacks: list[Callable[[Event], None]] = []
-
-        def make_callback(index: int) -> Callable[[Event], None]:
-            def on_fire(ev: Event) -> None:
-                nonlocal remaining
-                if combined.triggered:
-                    return
-                if not ev.ok:
-                    # One failure resolves the combination; detach from the
-                    # events still pending so they stop referencing it.
-                    for other, cb in zip(events, callbacks):
-                        if other is not ev:
-                            other.discard_callback(cb)
-                    combined.fail(ev.value)
-                    return
-                values[index] = ev.value
-                remaining -= 1
-                if remaining == 0:
-                    combined.succeed(values)
-
-            return on_fire
-
-        for i, ev in enumerate(events):
-            cb = make_callback(i)
-            callbacks.append(cb)
-            ev.add_callback(cb)
         return combined
 
     # ------------------------------------------------------------------

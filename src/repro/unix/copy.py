@@ -12,7 +12,7 @@ known amount of data down each path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterator
+from typing import Generator
 
 from repro.hardware.cpu import Exec
 from repro.hardware.memory import Region, cpu_copy_cost
@@ -60,17 +60,6 @@ class CopyLedger:
 
     def cpu_bytes(self) -> int:
         return sum(rec.bytes for rec in self.cpu.values())
-
-    def edges(self) -> Iterator[tuple[str, Region, Region, CopyRecord]]:
-        """All copy edges, for report tables."""
-        for (src, dst), rec in sorted(
-            self.cpu.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        ):
-            yield ("cpu", src, dst, rec)
-        for (src, dst), rec in sorted(
-            self.dma.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        ):
-            yield ("dma", src, dst, rec)
 
 
 def cpu_copy_at_rate(

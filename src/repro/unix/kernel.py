@@ -87,15 +87,10 @@ class Kernel:
         if self.noise_rate_per_sec > 0:
             self._schedule_noise()
 
-    def stop(self) -> None:
-        self._running = False
-
     # ------------------------------------------------------------------
     # clock
     # ------------------------------------------------------------------
     def _clock_tick(self) -> None:
-        if not self._running:
-            return
         self.stats_clock_ticks += 1
         self.cpu.raise_irq(
             calibration.SPL_CLOCK, self._clock_handler, name="clock"
@@ -116,8 +111,6 @@ class Kernel:
         self.sim.schedule_fast(max(1, round(gap)), self._noise_episode)
 
     def _noise_episode(self) -> None:
-        if not self._running:
-            return
         self.stats_noise_sections += 1
         if self._noise_rng.random() < calibration.LOW_SPL_SECTION_FRACTION:
             # A longer section at network priority: delays Token Ring

@@ -58,11 +58,6 @@ class MbufChain:
         self.mbufs: list[Mbuf] = mbufs or []
 
     @property
-    def length(self) -> int:
-        """Total data bytes in the chain."""
-        return sum(m.length for m in self.mbufs)
-
-    @property
     def buffer_count(self) -> int:
         return len(self.mbufs)
 

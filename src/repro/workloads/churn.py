@@ -3,14 +3,13 @@
 The paper sized one stream; a campus deployment is a *population* of
 clients starting and abandoning sessions all day.  This module gives the
 session control plane (:mod:`repro.core.control`) something realistic to
-admit against: a seeded schedule of ``establish()`` arrivals and releases,
+admit against: a schedule of ``establish()`` arrivals and releases,
 reproducible event-for-event so admission decisions can be golden-pinned.
 
 Two pieces:
 
 * :class:`ChurnSchedule` -- an inert list of :class:`SessionRequest`
-  records, hand-built (:meth:`ChurnSchedule.add`) or seeded-random
-  (:meth:`ChurnSchedule.random`), with the same ``describe()`` /
+  records, built with :meth:`ChurnSchedule.add`, with the same
   ``stable_hash()`` contract as :class:`~repro.faults.plan.FaultPlan`;
 * :class:`ChurnDriver` -- arms a schedule against a control plane: each
   request submits at its arrival instant and, if admitted (immediately or
@@ -21,11 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.sim.units import MS, SEC
+from dataclasses import dataclass
 
 #: Requests with no departure scheduled hold their session forever.
 HOLD_FOREVER = -1
@@ -41,17 +36,6 @@ class SessionRequest:
     duration_ns: int = HOLD_FOREVER
     #: Larger is more important; sheds lowest-priority-first.
     priority: int = 0
-
-    def describe(self) -> str:
-        hold = (
-            "forever"
-            if self.duration_ns == HOLD_FOREVER
-            else f"{self.duration_ns / MS:.0f}ms"
-        )
-        return (
-            f"t+{self.at_ns / MS:9.3f}ms  {self.client:<12} "
-            f"prio={self.priority} hold={hold}"
-        )
 
 
 class ChurnSchedule:
@@ -84,11 +68,6 @@ class ChurnSchedule:
             key=lambda r: (r.at_ns, r.client, r.priority),
         )
 
-    def describe(self) -> str:
-        lines = [f"ChurnSchedule ({len(self.requests)} requests)"]
-        lines += [f"  {r.describe()}" for r in self.sorted_requests()]
-        return "\n".join(lines)
-
     def stable_hash(self) -> str:
         """Short content hash (order-insensitive), mirroring FaultPlan's.
 
@@ -109,46 +88,6 @@ class ChurnSchedule:
             sort_keys=True,
         )
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-    @classmethod
-    def random(
-        cls,
-        rng: random.Random,
-        duration_ns: int,
-        clients: list[str],
-        arrivals_per_minute: float = 6.0,
-        mean_hold_ns: int = 5 * SEC,
-        min_hold_ns: int = 500 * MS,
-        priorities: tuple[int, ...] = (0, 0, 1),
-        start_ns: int = 100 * MS,
-    ) -> "ChurnSchedule":
-        """A seeded Poisson-ish churn mix.
-
-        Determinism contract: the same ``rng`` state and parameters
-        produce an identical schedule.  Arrivals follow an exponential
-        inter-arrival clock over a round-robin client order (a client can
-        re-arrive after departing); hold times are exponential with a
-        floor, so short sessions exist but zero-length ones do not.
-        """
-        schedule = cls()
-        if not clients:
-            return schedule
-        arrival_rate = arrivals_per_minute / (60 * SEC)
-        t = start_ns
-        i = 0
-        while True:
-            t += max(1, round(rng.expovariate(arrival_rate)))
-            if t >= duration_ns:
-                break
-            hold = max(min_hold_ns, round(rng.expovariate(1 / mean_hold_ns)))
-            schedule.add(
-                at_ns=t,
-                client=clients[i % len(clients)],
-                duration_ns=hold,
-                priority=rng.choice(priorities),
-            )
-            i += 1
-        return schedule
 
 
 class ChurnDriver:

@@ -181,6 +181,16 @@ def test_schedule_first_argument_checked():
             """
         )
     )
+    for method in ("schedule_fast", "at_fast"):
+        assert any(
+            rule == "CTMS212"
+            for rule, _ in raw_rules(
+                f"""
+                def arm(sim, fn, wait_us):
+                    sim.{method}(wait_us, fn)
+                """
+            )
+        )
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_set_iteration_scheduling_flagged():
     )
     assert [f.rule for f in findings] == ["CTMS104"]
     assert "hash order" in findings[0].message
+    # The allocation-free tier schedules just the same.
+    assert rule_ids(
+        """
+        def arm(sim, stations):
+            for station in set(stations):
+                sim.schedule_fast(10, station.wake)
+        """
+    ) == ["CTMS104"]
 
 
 def test_keys_iteration_scheduling_flagged():
@@ -172,7 +180,7 @@ def test_keys_iteration_scheduling_flagged():
         """
         def arm(sim, hosts):
             for name in hosts.keys():
-                sim.process(hosts[name].boot())
+                sim.schedule_fast(10, hosts[name].boot)
         """
     ) == ["CTMS104"]
 
@@ -222,6 +230,8 @@ def test_float_literal_delay_flagged():
     )
     assert [f.rule for f in findings] == ["CTMS201"]
     assert "units.NS/US/MS/SEC" in findings[0].hint
+    for call in ("sim.schedule_fast(1.5, fn)", "sim.at_fast(1.5, fn)"):
+        assert rule_ids(f"def arm(sim, fn):\n    {call}\n") == ["CTMS201"]
 
 
 def test_float_expression_delay_flagged():

@@ -160,6 +160,24 @@ def test_scheduled_impure_callback_flagged_ctms112():
     # Anchored at the impure callback's def line, naming the arming site.
     assert findings[0].line == 5
     assert "arm" in findings[0].message or "schedule" in findings[0].message
+    # The allocation-free tier arms callbacks just the same.
+    g = build(
+        (
+            "repro/core/node.py",
+            """
+            import time
+
+
+            def on_timer():
+                return time.time()
+
+
+            def arm(sim):
+                sim.schedule_fast(1_000, on_timer)
+            """,
+        ),
+    )
+    assert [f.line for f in check_taint(g) if f.rule == "CTMS112"] == [5]
 
 
 # ----------------------------------------------------------------------

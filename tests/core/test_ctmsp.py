@@ -7,8 +7,11 @@ from repro.core.ctmsp import (
     CTMSP_RING_PRIORITY,
     CTMSPPacket,
     PrecomputedHeader,
-    standard_packet,
 )
+from repro.hardware.calibration import CTMSP_PACKET_BYTES
+
+#: Filler that makes the paper's standard 2000-byte packet.
+STANDARD_DATA_BYTES = CTMSP_PACKET_BYTES - CTMSP_HEADER_BYTES
 
 
 def header():
@@ -16,13 +19,13 @@ def header():
 
 
 def test_standard_packet_is_2000_bytes_total():
-    pkt = standard_packet(stream_id=1, packet_no=0, dst_device=7, header=header())
+    pkt = CTMSPPacket(1, 0, 7, STANDARD_DATA_BYTES, header=header())
     assert pkt.info_bytes == 2000
     assert pkt.data_bytes == 2000 - CTMSP_HEADER_BYTES
 
 
 def test_to_frame_uses_precomputed_header_and_priority():
-    pkt = standard_packet(1, 5, 7, header=header())
+    pkt = CTMSPPacket(1, 5, 7, STANDARD_DATA_BYTES, header=header())
     frame = pkt.to_frame()
     assert frame.src == "tx" and frame.dst == "rx"
     assert frame.priority == CTMSP_RING_PRIORITY
@@ -51,5 +54,5 @@ def test_validation():
 
 
 def test_ring_priority_override():
-    pkt = standard_packet(1, 0, 7, header=header())
+    pkt = CTMSPPacket(1, 0, 7, STANDARD_DATA_BYTES, header=header())
     assert pkt.to_frame(ring_priority=0).priority == 0

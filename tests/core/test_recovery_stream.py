@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.ctmsp import standard_packet
+from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket
 from repro.core.recovery import DUPLICATE, GAP, OK, REORDERED, SequenceTracker
 from repro.core.stream import StreamStats
 from repro.sim.units import MS, SEC
@@ -80,7 +80,7 @@ def test_monotone_subsequence_loss_accounting(present):
 def test_stream_stats_latency_and_throughput():
     stats = StreamStats()
     for i in range(3):
-        pkt = standard_packet(1, i, 7)
+        pkt = CTMSPPacket(1, i, 7, 2000 - CTMSP_HEADER_BYTES)
         pkt.born_at = i * 12 * MS
         stats.record_delivery(pkt, i * 12 * MS + 11 * MS)
     assert stats.delivered == 3
@@ -92,7 +92,7 @@ def test_stream_stats_latency_and_throughput():
 
 def test_stream_stats_duplicate_not_counted():
     stats = StreamStats()
-    pkt = standard_packet(1, 0, 7)
+    pkt = CTMSPPacket(1, 0, 7, 2000 - CTMSP_HEADER_BYTES)
     stats.record_delivery(pkt, 5 * MS)
     stats.record_delivery(pkt, 6 * MS, outcome="duplicate")
     assert stats.delivered == 1

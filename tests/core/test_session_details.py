@@ -23,7 +23,7 @@ def test_established_event_fires_after_both_sides_are_wired():
     bed.run(100 * MS)
     assert established.triggered
     # Sink handles were installed before the source started producing.
-    assert rx.tr_driver.ctms_classify is not None
+    assert rx.tr_driver._ctms_sinks
     assert tx.vca_driver.header is not None
 
 
@@ -82,4 +82,4 @@ def test_sessions_are_directional():
     session.establish()
     bed.run(500 * MS)
     # The transmitter's own driver has no sink registered.
-    assert tx.tr_driver.ctms_classify is None
+    assert tx.tr_driver._ctms_sinks == []

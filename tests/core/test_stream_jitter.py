@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from repro.core.ctmsp import standard_packet
+from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket
 from repro.core.stream import StreamStats
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import test_case_a as scenario_a
@@ -15,7 +15,7 @@ from repro.sim.units import MS, SEC
 def deliveries_at(times):
     stats = StreamStats()
     for i, t in enumerate(times):
-        pkt = standard_packet(1, i, 7)
+        pkt = CTMSPPacket(1, i, 7, 2000 - CTMSP_HEADER_BYTES)
         pkt.born_at = t - 11 * MS
         stats.record_delivery(pkt, t)
     return stats

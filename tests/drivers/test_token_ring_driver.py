@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ctmsp import PrecomputedHeader, standard_packet
+from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket, PrecomputedHeader
 from repro.drivers.token_ring import TokenRingDriverConfig
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
@@ -24,8 +24,9 @@ def build_pair(tx_cfg=None, rx_cfg=None, seed=2):
 
 
 def make_ctmsp_frame(dst="rx", packet_no=0, priority=4, dst_device=7):
-    pkt = standard_packet(
-        1, packet_no, dst_device, header=PrecomputedHeader(src="tx", dst=dst)
+    pkt = CTMSPPacket(
+        1, packet_no, dst_device, 2000 - CTMSP_HEADER_BYTES,
+        header=PrecomputedHeader(src="tx", dst=dst),
     )
     return pkt.to_frame(ring_priority=priority)
 

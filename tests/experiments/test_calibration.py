@@ -44,9 +44,9 @@ def test_paper_constants_are_verbatim():
 
 def test_wire_time_of_the_ctmsp_packet():
     """2000 info bytes + 21 framing bytes at 4 Mbit/s = 4042 us."""
-    from repro.ring.frames import wire_time_ns
+    from repro.ring.frames import Frame
 
-    assert wire_time_ns(2000) == 4042 * US
+    assert Frame(src="a", dst="b", info_bytes=2000).wire_time_ns == 4042 * US
 
 
 def test_figure_5_3_minimum_budget(case_a):

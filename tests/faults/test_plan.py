@@ -70,13 +70,6 @@ def test_sorted_events_orders_by_time():
     assert [e.at_ns for e in plan.sorted_events()] == [1 * SEC, 2 * SEC, 3 * SEC]
 
 
-def test_horizon_covers_durations_and_bursts():
-    plan = FaultPlan().tx_stall(1 * SEC, duration_ns=50 * MS, host="h")
-    assert plan.horizon_ns() == 1 * SEC + 50 * MS
-    plan = FaultPlan().purge_burst(2 * SEC, count=10, spacing_ns=10 * MS)
-    assert plan.horizon_ns() == 2 * SEC + 100 * MS
-
-
 def test_describe_lists_every_event():
     plan = FaultPlan().purge(1 * SEC).cpu_steal(2 * SEC, duration_ns=SEC, host="rx")
     text = plan.describe()

@@ -1,6 +1,5 @@
 """Tests for memory regions, copy costs, and which DMAs contend with the CPU."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -32,18 +31,6 @@ def test_copy_cost_is_linear_in_bytes(src, dst, n):
     if (src, dst) not in __import__("repro.hardware.memory", fromlist=["CPU_COPY_COST"]).CPU_COPY_COST:
         return
     assert cpu_copy_cost(src, dst, n) == n * cpu_copy_cost(src, dst, 1)
-
-
-def test_iocm_allocation_requires_card():
-    with_card = MemorySystem(has_io_channel_memory=True)
-    region = with_card.allocate("txbuf", Region.IO_CHANNEL, 4096)
-    assert region.region is Region.IO_CHANNEL
-
-    without = MemorySystem(has_io_channel_memory=False)
-    with pytest.raises(ValueError):
-        without.allocate("txbuf", Region.IO_CHANNEL, 4096)
-    fallback = without.allocate("txbuf", Region.SYSTEM, 4096)
-    assert fallback.region is Region.SYSTEM
 
 
 def test_dma_contention_classification():

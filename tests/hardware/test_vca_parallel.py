@@ -120,3 +120,20 @@ def test_machine_without_iocm_card():
     sim = Simulator()
     machine = Machine(sim, "stock", has_io_channel_memory=False)
     assert not machine.memory.has_io_channel_memory
+
+
+def test_vca_restart_aligned_to_now_does_not_burst():
+    # A failover replica starts its DSP mid-run: the tick grid counts from
+    # the restart, so no edge since time zero is replayed as a burst.
+    sim, cpu, vca = make_vca(jitter=0)
+    edges = []
+    vca.irq_listeners.append(edges.append)
+    vca.start()
+    sim.run(until=1 * SEC)
+    vca.stop()
+    sim.run(until=1500 * MS)
+    vca.start(align_to_now=True)
+    sim.run(until=2 * SEC)
+    after = [t for t in edges if t > 1500 * MS]
+    assert after[0] == 1500 * MS + 12 * MS
+    assert all(b - a == 12 * MS for a, b in zip(after, after[1:]))

@@ -1,6 +1,6 @@
 """Tests for the pseudo-driver tracer and the logic analyzer."""
 
-from repro.core.ctmsp import PrecomputedHeader, standard_packet
+from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket, PrecomputedHeader
 from repro.hardware import calibration
 from repro.measure.logic_analyzer import LogicAnalyzer
 from repro.measure.pseudo_driver import PROBE_INTRUSION, PseudoDriverTracer
@@ -9,7 +9,9 @@ from repro.sim.units import MS, US
 
 
 def ctmsp_frame(n):
-    pkt = standard_packet(1, n, 7, header=PrecomputedHeader(src="a", dst="b"))
+    pkt = CTMSPPacket(
+        1, n, 7, 2000 - CTMSP_HEADER_BYTES, header=PrecomputedHeader(src="a", dst="b")
+    )
     return pkt.to_frame()
 
 
@@ -63,7 +65,8 @@ def test_pseudo_driver_intervals():
         sim.schedule(t, probe, 0)
     sim.run()
     granule = calibration.RTPC_CLOCK_GRANULARITY
-    for interval in tracer.intervals("x"):
+    times = tracer.times("x")
+    for interval in (b - a for a, b in zip(times, times[1:])):
         assert abs(interval - 12 * MS) <= granule
 
 

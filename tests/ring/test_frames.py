@@ -11,14 +11,13 @@ from repro.ring.frames import (
     FrameClass,
     mac_frame,
     ring_purge_frame,
-    wire_time_ns,
 )
 from repro.sim.units import US
 
 
 def test_wire_time_of_2000_byte_packet_is_about_4ms():
     # 2000 info bytes + 21 framing bytes at 2 us/byte = 4042 us.
-    assert wire_time_ns(2000) == 4042 * US
+    assert Frame(src="a", dst="b", info_bytes=2000).wire_time_ns == 4042 * US
 
 
 def test_wire_time_of_paper_file_transfer_packet():
@@ -63,6 +62,6 @@ def test_frames_with_equal_fields_are_unequal():
     assert a == a
 
 
-@given(st.integers(min_value=0, max_value=20000))
+@given(st.integers(min_value=0, max_value=Frame.MAX_INFO_BYTES))
 def test_wire_time_linear(n):
-    assert wire_time_ns(n) == (n + 21) * 2000
+    assert Frame(src="a", dst="b", info_bytes=n).wire_time_ns == (n + 21) * 2000

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import Process, ProcessKilled, SimulationError, Simulator
-from repro.sim.units import MS, US
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.units import MS
 
 
 def test_schedule_runs_in_time_order():
@@ -94,175 +94,14 @@ def test_callback_on_already_triggered_event_still_runs():
     assert got == ["late"]
 
 
-def test_process_sequences_timeouts():
-    sim = Simulator()
-    trace = []
-
-    def behaviour():
-        trace.append(("start", sim.now))
-        yield sim.timeout(10 * US)
-        trace.append(("mid", sim.now))
-        yield sim.timeout(5 * US)
-        trace.append(("end", sim.now))
-        return "done"
-
-    proc = sim.process(behaviour())
-    sim.run()
-    assert trace == [("start", 0), ("mid", 10 * US), ("end", 15 * US)]
-    assert proc.triggered and proc.value == "done"
-
-
-def test_process_receives_event_value():
-    sim = Simulator()
-    ev = sim.event()
-    got = []
-
-    def waiter():
-        value = yield ev
-        got.append(value)
-
-    sim.process(waiter())
-    sim.schedule(3, ev.succeed, "payload")
-    sim.run()
-    assert got == ["payload"]
-
-
-def test_processes_can_wait_on_processes():
-    sim = Simulator()
-
-    def child():
-        yield sim.timeout(100)
-        return 99
-
-    def parent():
-        value = yield sim.process(child())
-        return value + 1
-
-    proc = sim.process(parent())
-    sim.run()
-    assert proc.value == 100
-
-
-def test_failed_event_raises_inside_process():
-    sim = Simulator()
-    ev = sim.event()
-    outcome = []
-
-    def waiter():
-        try:
-            yield ev
-        except ValueError as exc:
-            outcome.append(str(exc))
-
-    sim.process(waiter())
-    sim.schedule(1, ev.fail, ValueError("boom"))
-    sim.run()
-    assert outcome == ["boom"]
-
-
-def test_kill_process_interrupts_wait():
-    sim = Simulator()
-    reached_end = []
-
-    def behaviour():
-        yield sim.timeout(1 * MS)
-        reached_end.append(True)
-
-    proc = sim.process(behaviour())
-    sim.run(until=10)
-    proc.kill()
-    sim.run()
-    assert not reached_end
-    assert proc.triggered and not proc.ok
-    assert isinstance(proc.value, ProcessKilled)
-
-
-def test_killed_process_can_clean_up_and_return():
-    sim = Simulator()
-    cleanup = []
-
-    def behaviour():
-        try:
-            yield sim.timeout(1 * MS)
-        except ProcessKilled:
-            cleanup.append("closed")
-        return "graceful"
-
-    proc = sim.process(behaviour())
-    sim.run(until=10)
-    proc.kill()
-    sim.run()
-    assert cleanup == ["closed"]
-    assert proc.ok and proc.value == "graceful"
-
-
-def test_process_yielding_non_event_is_an_error():
-    sim = Simulator()
-
-    def bad():
-        yield 5  # type: ignore[misc]
-
-    sim.process(bad())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_stale_wakeup_after_kill_is_ignored():
-    # A timeout that fires after the process was killed must not resume it.
-    sim = Simulator()
-
-    def behaviour():
-        yield sim.timeout(50)
-
-    proc = sim.process(behaviour())
-    sim.run(until=10)
-    proc.kill()
-    sim.run()  # the 50ns timeout still fires; must not blow up
-    assert proc.triggered
-
-
 def test_any_of_returns_first():
     sim = Simulator()
     a = sim.timeout(20, "a")
     b = sim.timeout(10, "b")
     got = []
-
-    def waiter():
-        ev, value = yield sim.any_of([a, b])
-        got.append(value)
-
-    sim.process(waiter())
+    sim.any_of([a, b]).add_callback(lambda e: got.append((e.value, sim.now)))
     sim.run()
-    assert got == ["b"]
-
-
-def test_all_of_collects_values_in_order():
-    sim = Simulator()
-    a = sim.timeout(20, "a")
-    b = sim.timeout(10, "b")
-    got = []
-
-    def waiter():
-        values = yield sim.all_of([a, b])
-        got.append(values)
-
-    sim.process(waiter())
-    sim.run()
-    assert got == [["a", "b"]]
-    assert sim.now == 20
-
-
-def test_all_of_empty_succeeds_immediately():
-    sim = Simulator()
-    done = []
-
-    def waiter():
-        values = yield sim.all_of([])
-        done.append(values)
-
-    sim.process(waiter())
-    sim.run()
-    assert done == [[]]
+    assert got == [((b, "b"), 10)]
 
 
 def test_any_of_detaches_from_losers():
@@ -278,21 +117,6 @@ def test_any_of_detaches_from_losers():
     for loser in losers:
         assert not loser.triggered
         assert loser._callbacks == []
-
-
-def test_all_of_detaches_on_failure():
-    # Same leak on the all_of failure path: one failure resolves the
-    # combination, so the events still pending must drop their callbacks.
-    sim = Simulator()
-    doomed = sim.event(name="doomed")
-    pending = [sim.event(name=f"pending-{i}") for i in range(3)]
-    combined = sim.all_of([doomed] + pending)
-    sim.schedule(5, doomed.fail, RuntimeError("boom"))
-    sim.run()
-    assert combined.triggered and not combined.ok
-    for ev in pending:
-        assert not ev.triggered
-        assert ev._callbacks == []
 
 
 def test_mass_cancellation_compacts_without_reordering():
@@ -314,15 +138,3 @@ def test_mass_cancellation_compacts_without_reordering():
     survivors = [t for t in range(1, 301) if t not in set(doomed)]
     assert ran == survivors
     assert sim.stats_events == len(survivors) + 1
-
-
-def test_process_is_named():
-    sim = Simulator()
-
-    def behaviour():
-        yield sim.timeout(1)
-
-    proc = sim.process(behaviour(), name="tx-path")
-    assert isinstance(proc, Process)
-    assert proc.name == "tx-path"
-    sim.run()

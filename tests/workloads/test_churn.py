@@ -1,9 +1,8 @@
-"""Tests for the seeded churn workload and its control-plane driver."""
+"""Tests for the churn workload and its control-plane driver."""
 
 from repro.core.control import SessionControlPlane
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.sim.rng import seeded_stream
 from repro.sim.units import MS, SEC
 from repro.workloads.churn import (
     HOLD_FOREVER,
@@ -31,31 +30,6 @@ def test_stable_hash_is_content_addressed():
     assert one.stable_hash() == two.stable_hash()
     two.add(at_ns=200, client="b")
     assert one.stable_hash() != two.stable_hash()
-
-
-def test_random_schedule_is_seed_deterministic():
-    kwargs = dict(duration_ns=10 * SEC, clients=["c1", "c2"])
-    a = ChurnSchedule.random(seeded_stream(7), **kwargs)
-    b = ChurnSchedule.random(seeded_stream(7), **kwargs)
-    c = ChurnSchedule.random(seeded_stream(8), **kwargs)
-    assert a.stable_hash() == b.stable_hash()
-    assert a.stable_hash() != c.stable_hash()
-
-
-def test_random_schedule_respects_bounds():
-    schedule = ChurnSchedule.random(
-        seeded_stream(3),
-        duration_ns=20 * SEC,
-        clients=["c1", "c2", "c3"],
-        arrivals_per_minute=30.0,
-        min_hold_ns=500 * MS,
-    )
-    requests = schedule.sorted_requests()
-    assert requests, "30/min over 20 s should produce arrivals"
-    for r in requests:
-        assert 0 < r.at_ns < 20 * SEC
-        assert r.duration_ns >= 500 * MS
-        assert r.client in ("c1", "c2", "c3")
 
 
 def test_hold_forever_is_a_sentinel():
