@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.sim.units import MS, SEC
+from repro.sim.units import SEC
 
 
 def required_buffer_bytes(

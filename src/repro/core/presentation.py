@@ -13,7 +13,7 @@ replaying traces afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.ctmsp import CTMSPPacket

@@ -26,7 +26,7 @@ instead of the stream silently never starting.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.stream import StreamStats
 from repro.hardware.cpu import Exec

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.hardware import calibration
 from repro.hardware.cpu import Exec, RaiseSpl, SetSpl

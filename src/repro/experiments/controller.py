@@ -19,7 +19,7 @@ artifact the paper calls "extremely good at helping to find bugs".
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.ctmsp import CTMSPPacket

@@ -16,7 +16,7 @@ and computes the seven histograms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.ctmsp import CTMSPPacket
@@ -26,7 +26,6 @@ from repro.experiments.testbed import Host, HostConfig, Testbed
 from repro.hardware.parallel_port import PORT_WRITE_CODE_COST, ParallelPort
 from repro.measure.histogram import Histogram
 from repro.measure.pcat import PcatTimestamper, match_by_packet_number
-from repro.protocols.stack import NetStack
 from repro.ring.frames import Frame
 from repro.sim.units import US
 from repro.workloads.background import BackgroundTraffic

@@ -16,7 +16,7 @@ one switch at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.drivers.token_ring import TokenRingDriverConfig
 from repro.drivers.vca import VCADriverConfig

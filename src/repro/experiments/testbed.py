@@ -10,7 +10,6 @@ VCA adapters/drivers), and room for lightweight background-traffic stations
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.drivers.token_ring import TokenRingDriver, TokenRingDriverConfig
 from repro.drivers.vca import VCADriver, VCADriverConfig

@@ -19,6 +19,10 @@ returns the previous level), or :class:`Wait` (block on a
 :class:`~repro.sim.engine.Event`; base level only).  Interrupt handlers are
 frames at level > 0 started by :meth:`CPU.raise_irq`; user processes are
 base-level frames scheduled round-robin from a ready queue.
+
+The clock interrupt has its own entry, :meth:`CPU.hardclock`.  On an idle
+CPU it runs without a frame until something touches the CPU (see
+docs/KERNEL.md, "Idle clock interrupts").
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.hardware import calibration
-from repro.sim.engine import Event, Handle, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 #: Frame lifecycle states.
 FRESH = "fresh"
@@ -134,6 +138,25 @@ class Frame:
         return f"<Frame {self.name} lvl={self.level} {self.state}>"
 
 
+class _IdleTick:
+    """A clock interrupt taken on an idle CPU, not yet built into a frame.
+
+    ``in_entry`` is True until the entry overhead completes; ``exec_started``
+    is when the current phase's work began.  ``frame`` is set once a touch
+    materialises the interrupt: the completion entry still on the calendar
+    then runs that frame's ``_advance``.
+    """
+
+    __slots__ = ("exec_started", "in_entry", "saved_spl", "work_ns", "frame")
+
+    def __init__(self, now: int, saved_spl: int, work_ns: int) -> None:
+        self.exec_started = now
+        self.in_entry = True
+        self.saved_spl = saved_spl
+        self.work_ns = work_ns
+        self.frame: Optional[Frame] = None
+
+
 class CPU:
     """The processor of one machine.
 
@@ -183,6 +206,9 @@ class CPU:
         self.interference_per_source = (
             calibration.DMA_CPU_INTERFERENCE_PER_TRANSFER
         )
+        #: The clock interrupt in flight on an idle CPU, while no frame
+        #: stands for it (see :meth:`hardclock`).
+        self._idle_tick: Optional[_IdleTick] = None
 
         # --- statistics ---------------------------------------------------
         self.stats_busy_ns = 0
@@ -197,6 +223,8 @@ class CPU:
     @property
     def running(self) -> Optional[Frame]:
         """The frame currently consuming CPU, if any."""
+        if self._idle_tick is not None:
+            self._materialize_clock()
         if self._istack:
             return self._istack[-1]
         if self._base is not None and self._base.state in (RUNNING, SWITCHING):
@@ -220,6 +248,8 @@ class CPU:
         """
         if level <= 0:
             raise SimulationError("interrupt level must be > 0")
+        if self._idle_tick is not None:
+            self._materialize_clock()
         frame = Frame(handler(*args), level, name, done_event=None)
         frame.remaining = self.irq_entry_overhead
         self.stats_irq_count += 1
@@ -241,6 +271,8 @@ class CPU:
         Returns an event that succeeds with the generator's return value when
         the frame finishes.
         """
+        if self._idle_tick is not None:
+            self._materialize_clock()
         done = self.sim.event(name=f"{name}-done")
         frame = Frame(gen, 0, name, done_event=done)
         frame.state = READY
@@ -255,6 +287,90 @@ class CPU:
         """
         if self.ready:
             self.need_resched = True
+
+    def hardclock(self, work_ns: int) -> None:
+        """Take one clock interrupt: ``work_ns`` of hardclock() bookkeeping
+        at ``SPL_CLOCK``, then a round-robin reschedule request.
+
+        A busy CPU takes it through :meth:`raise_irq`.  An idle one (no
+        interrupt running or pending, nothing ready, no contention, the
+        base frame absent or waiting) counts the interrupt and starts its
+        busy time at once, but builds no frame: it queues the same
+        completion entries a frame would (entry overhead, then the work)
+        with :meth:`_idle_clock_step`.  The first touch of the CPU inside
+        that window builds the frame in the state it has reached
+        (:meth:`_materialize_clock`).
+        """
+        if (
+            self._idle_tick is None
+            and not self._istack
+            and not self.ready
+            and not self._pending
+            and not self._contention_sources
+            and calibration.SPL_CLOCK > self.spl
+            and (self._base is None or self._base.state == WAITING)
+            and self.irq_entry_overhead > 0
+            and work_ns > 0
+        ):
+            tick = _IdleTick(self.sim.now, self.spl, work_ns)
+            self._idle_tick = tick
+            self.stats_irq_count += 1
+            self.spl = calibration.SPL_CLOCK
+            self._note_busy()
+            self.sim.schedule_fast(
+                round(self.irq_entry_overhead), self._idle_clock_step, tick
+            )
+            return
+        self.raise_irq(
+            calibration.SPL_CLOCK, self._hardclock_body, "clock", work_ns
+        )
+
+    def _hardclock_body(self, work_ns: int) -> Generator[Any, Any, None]:
+        # Runs no code before its first yield, so _materialize_clock may
+        # step it to that Exec early.
+        yield Exec(work_ns)
+        self.preempt_base_round_robin()
+
+    def _idle_clock_step(self, tick: _IdleTick) -> None:
+        """Completion entry of an idle clock interrupt's current phase."""
+        frame = tick.frame
+        if frame is not None:
+            # Materialised: this entry is the frame's exec completion,
+            # scheduled at epoch 0.
+            self._advance(frame, 0)
+            return
+        if tick.in_entry:
+            tick.in_entry = False
+            tick.exec_started = self.sim.now
+            self.sim.schedule_fast(tick.work_ns, self._idle_clock_step, tick)
+            return
+        # Nothing touched the CPU: the frame would have unwound to idle.
+        self._idle_tick = None
+        self.spl = tick.saved_spl
+        self._note_idle_check()
+
+    def _materialize_clock(self) -> None:
+        """Build the frame of the idle clock interrupt in flight, as
+        :meth:`raise_irq` would have left it by now, and put it on the
+        interrupt stack."""
+        tick = self._idle_tick
+        assert tick is not None
+        self._idle_tick = None
+        frame = Frame(
+            self._hardclock_body(tick.work_ns), calibration.SPL_CLOCK,
+            "clock", done_event=None,
+        )
+        if tick.in_entry:
+            frame.remaining = self.irq_entry_overhead
+        else:
+            frame.gen.send(None)
+            frame.remaining = tick.work_ns
+        frame.exec_started = tick.exec_started
+        frame.executing = True
+        frame.saved_spl = tick.saved_spl
+        frame.state = RUNNING
+        self._istack.append(frame)
+        tick.frame = frame
 
     # --- contention hooks (called by DMA engines) -----------------------
     def contention_started(self) -> None:
@@ -326,6 +442,8 @@ class CPU:
             frame.executing = False
 
     def _reslice_running(self) -> None:
+        # Reading ``running`` materialises an idle clock interrupt, so a
+        # contention change is a touch too.
         frame = self.running
         if frame is not None and frame.executing:
             self._pause_exec(frame)
@@ -487,6 +605,8 @@ class CPU:
                 raise SimulationError(
                     f"event waited on by {frame.name} failed: {ev.value!r}"
                 )
+            if self._idle_tick is not None:
+                self._materialize_clock()
             frame.resume_value = ev.value
             frame.state = READY
             self.ready.append(frame)

@@ -9,7 +9,7 @@ source the stock path pays and CTMSP's static connection does not.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.hardware.cpu import Exec
 from repro.protocols.headers import ARP_PACKET_BYTES

@@ -20,7 +20,7 @@ from repro.hardware.cpu import Exec
 from repro.protocols.headers import Datagram
 from repro.ring.frames import Frame
 from repro.sim.units import US
-from repro.unix.mbuf import MbufChain, MbufExhausted
+from repro.unix.mbuf import MbufChain
 
 #: Per-packet input processing (checksum verify, demux).
 IP_INPUT_COST = 150 * US

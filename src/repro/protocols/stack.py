@@ -16,7 +16,7 @@ from repro.hardware.memory import Region
 from repro.protocols.arp import ArpLayer
 from repro.protocols.headers import Datagram
 from repro.protocols.ip import IpLayer
-from repro.protocols.tcp import TcpConnection, TcpLayer
+from repro.protocols.tcp import TcpLayer
 from repro.protocols.udp import UdpLayer
 from repro.ring.frames import Frame
 from repro.sim.engine import Event

@@ -26,7 +26,7 @@ from repro.hardware.cpu import Exec, Wait
 from repro.hardware.memory import Region
 from repro.protocols.headers import Datagram, TCP_MSS
 from repro.sim.engine import Event, Handle
-from repro.sim.units import MS, US
+from repro.sim.units import MS
 from repro.unix.copy import cpu_copy
 from repro.unix.mbuf import MbufChain, MbufExhausted
 

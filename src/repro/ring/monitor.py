@@ -21,7 +21,7 @@ from repro.ring.network import TokenRing
 from repro.ring.station import RingStation
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.units import DAY, SEC
+from repro.sim.units import DAY
 
 
 class ActiveMonitor:

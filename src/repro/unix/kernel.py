@@ -4,7 +4,10 @@ Three kernel behaviours shape the paper's measurements:
 
 * the **clock interrupt** (hz=100) drives round-robin scheduling -- the
   reason a stock user-level relay process can be 10+ ms late to its next
-  read(), which is fatal at 150 KB/s and harmless at 16 KB/s;
+  read(), which is fatal at 150 KB/s and harmless at 16 KB/s.  Each tick
+  is :meth:`~repro.hardware.cpu.CPU.hardclock`, which on an idle CPU
+  builds no interrupt frame unless something touches the CPU within the
+  tick's 85 us (docs/KERNEL.md, "Idle clock interrupts");
 * **sleep/wakeup** -- how a blocked relay process waits for device data;
 * **protected code segments** -- kernel housekeeping that runs at raised
   ``spl`` and delays interrupt handlers; the paper measured up to 440 us of
@@ -14,7 +17,7 @@ Three kernel behaviours shape the paper's measurements:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.hardware import calibration
 from repro.hardware.cpu import Exec, SetSpl, Wait
@@ -24,9 +27,9 @@ from repro.sim.units import SEC, US
 from repro.unix.copy import CopyLedger
 from repro.unix.mbuf import MbufPool
 
-#: hardclock()'s fixed bookkeeping cost; Exec ops are immutable, so the
-#: 100 Hz tick shares one instance instead of allocating per interrupt.
-_EXEC_HARDCLOCK = Exec(25 * US)
+#: hardclock()'s fixed bookkeeping cost per tick, after the CPU's
+#: interrupt-entry overhead; the body that spends it is CPU.hardclock's.
+_HARDCLOCK_WORK = 25 * US
 
 
 class Kernel:
@@ -91,17 +94,11 @@ class Kernel:
     # clock
     # ------------------------------------------------------------------
     def _clock_tick(self) -> None:
-        self.stats_clock_ticks += 1
-        self.cpu.raise_irq(
-            calibration.SPL_CLOCK, self._clock_handler, name="clock"
-        )
-        self.sim.schedule_fast(calibration.CLOCK_TICK, self._clock_tick)
-
-    def _clock_handler(self) -> Generator:
         # hardclock(): timer bookkeeping, then request a resched so the run
         # queue round-robins on the 10ms quantum.
-        yield _EXEC_HARDCLOCK
-        self.cpu.preempt_base_round_robin()
+        self.stats_clock_ticks += 1
+        self.cpu.hardclock(_HARDCLOCK_WORK)
+        self.sim.schedule_fast(calibration.CLOCK_TICK, self._clock_tick)
 
     # ------------------------------------------------------------------
     # background protected sections ("kernel noise")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.core.ctmsp import CTMSP_HEADER_BYTES
 from repro.drivers.vca import VCADriverConfig
 from repro.hardware import calibration
-from repro.sim.units import MS, SEC
+from repro.sim.units import SEC
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Unit tests for the preemptive CPU model."""
 
+import random
+
 import pytest
 
+from repro.hardware import calibration
 from repro.hardware.cpu import CPU, Exec, SetSpl, Wait
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.units import MS, US
@@ -386,3 +389,162 @@ def test_lowering_spl_dispatches_pending_immediately():
     sim.schedule(10 * US, cpu.raise_irq, 4, handler)
     sim.run()
     assert trace == [("irq", 100 * US), ("resumed", 125 * US)]
+
+
+# --- the idle clock interrupt -------------------------------------------
+CLOCK_WORK = 25 * US
+TICK_AT = 2 * MS
+WINDOW = 60 * US + CLOCK_WORK
+
+
+def _clock_fuzz_run(seed, idle_path):
+    """One CPU, one clock tick at ``TICK_AT`` and random touches around it.
+
+    ``idle_path`` takes the tick with ``CPU.hardclock``; otherwise with
+    ``raise_irq`` and the same body.  Returns what either run can observe,
+    and the phase (``"entry"``/``"hardclock"``) of each touch that found
+    an idle tick without a frame.
+    """
+    rng = random.Random(seed)
+    sim = Simulator(record_trace=True)
+    cpu = CPU(sim, irq_entry_overhead=60 * US,
+              context_switch_cost=rng.choice([0, 80 * US]))
+    done, phases, cuts = [], [], []
+
+    def note_phase():
+        tick = cpu._idle_tick
+        if idle_path and tick is not None:
+            phases.append("entry" if tick.in_entry else "hardclock")
+
+    def handler(tag, work, spl):
+        if spl:
+            old = yield SetSpl(max(spl, cpu.spl))
+            yield Exec(work // 2)
+            yield SetSpl(old)
+        yield Exec(work)
+        done.append((tag, sim.now))
+
+    def proc(tag, work):
+        yield Exec(work)
+        done.append((tag, sim.now))
+
+    def waiter(tag, event, spl):
+        # A waiter may sleep with spl raised, masking the clock.
+        yield SetSpl(spl)
+        value = yield Wait(event)
+        yield Exec(30 * US)
+        yield SetSpl(0)
+        done.append((tag, value, sim.now))
+
+    events = [sim.event() for _ in range(rng.randint(0, 2))]
+    for i, event in enumerate(events):
+        spl = rng.choice([0, 0, 0, 3, calibration.SPL_CLOCK])
+        cpu.spawn_base(waiter(f"waiter{i}", event, spl))
+
+    def tick():
+        note_phase()
+        if idle_path:
+            cpu.hardclock(CLOCK_WORK)
+        else:
+            cpu.raise_irq(calibration.SPL_CLOCK, cpu._hardclock_body, "clock",
+                          CLOCK_WORK)
+
+    def irq(tag, level, work, spl):
+        note_phase()
+        cpu.raise_irq(level, handler, tag, tag, work, spl)
+
+    def spawn(tag, work):
+        note_phase()
+        cpu.spawn_base(proc(tag, work))
+
+    def wake(event, value):
+        note_phase()
+        event.succeed(value)
+
+    def contention(start):
+        note_phase()
+        (cpu.contention_started if start else cpu.contention_ended)()
+
+    def look(tag):
+        note_phase()
+        frame = cpu.running
+        done.append((tag, sim.now, frame and frame.level))
+
+    edges = [TICK_AT + d for d in (0, 60 * US, WINDOW)]
+    def when():
+        if rng.random() < 0.3:
+            return rng.choice(edges)
+        return TICK_AT + rng.randint(-20 * US, WINDOW + 15 * US)
+
+    actions = [(TICK_AT, tick)]
+    for n in range(rng.randint(0, 4)):
+        kind = rng.choice(["irq", "spawn", "wake", "contention", "look", "tick"])
+        tag = f"{kind}{n}"
+        if kind == "irq":
+            actions.append((when(), lambda t=tag, l=rng.randint(1, 5),
+                            w=rng.randint(0, 80) * US, s=rng.choice([0, 0, 5, 7]):
+                            irq(t, l, w, s)))
+        elif kind == "spawn":
+            actions.append((when(), lambda t=tag, w=rng.randint(1, 80) * US: spawn(t, w)))
+        elif kind == "wake" and events:
+            actions.append((when(), lambda e=events.pop(), t=tag: wake(e, t)))
+        elif kind == "contention":
+            start = when()
+            actions.append((start, lambda: contention(True)))
+            actions.append((start + rng.randint(0, 60) * US, lambda: contention(False)))
+        elif kind == "look":
+            actions.append((when(), lambda t=tag: look(t)))
+        elif kind == "tick":
+            actions.append((when(), tick))
+    # Same-instant order follows scheduling order: shuffle it.
+    rng.shuffle(actions)
+    for at, action in actions:
+        sim.at_fast(at, action)
+
+    if rng.random() < 0.5:
+        cut = TICK_AT + rng.randint(0, WINDOW)
+        sim.run(until=cut)
+        cuts.append((cpu.stats_irq_count, cpu.stats_irq_pended,
+                     cpu.utilization(cut), cpu.spl))
+    sim.run()
+    trace = [(t, "CPU._advance" if name == "CPU._idle_clock_step" else name)
+             for t, name in sim.trace]
+    observed = {
+        "trace": trace,
+        "events": sim.stats_events,
+        "irqs": cpu.stats_irq_count,
+        "pended": cpu.stats_irq_pended,
+        "switches": cpu.stats_context_switches,
+        "utilization": cpu.utilization(sim.now),
+        "spl": cpu.spl,
+        "running": cpu.running,
+        "done": done,
+        "cuts": cuts,
+    }
+    took_idle_path = any(name == "CPU._idle_clock_step" for _t, name in sim.trace)
+    return observed, took_idle_path, phases
+
+
+def test_idle_clock_tick_matches_raise_irq_under_random_touches():
+    idle_ticks, touched = 0, set()
+    for seed in range(400):
+        idle, took_idle_path, phases = _clock_fuzz_run(seed, idle_path=True)
+        reference, _, _ = _clock_fuzz_run(seed, idle_path=False)
+        assert idle == reference, f"seed {seed}"
+        idle_ticks += took_idle_path
+        touched.update(phases)
+    # The fuzz reaches the idle path and a touch in each of its phases.
+    assert idle_ticks > 100
+    assert touched == {"entry", "hardclock"}
+
+
+def test_idle_clock_tick_builds_no_frame():
+    sim, cpu = make_cpu(irq_entry=60 * US)
+    sim.schedule(TICK_AT, cpu.hardclock, CLOCK_WORK)
+    sim.run(until=TICK_AT + 70 * US)
+    assert cpu._idle_tick is not None and not cpu._istack
+    assert cpu.spl == calibration.SPL_CLOCK
+    assert cpu.stats_irq_count == 1
+    sim.run()
+    assert cpu._idle_tick is None and cpu.spl == 0
+    assert cpu.stats_busy_ns == WINDOW

@@ -15,6 +15,12 @@ subclasses, which ``NodeVisitor.visit`` reaches by ``getattr``.  The
 allow list is short and each entry says why it stays; an entry that is
 used again, or gone, fails the test like the lint baseline's stale
 entries do.
+
+The last test keeps docs/ANALYSIS.md's "Never-run functions" list in
+step with the tree: every qualified name there must still be a ``def``
+in the file its bullet gives.  Whether each one still never runs is the
+dynamic half, ``make reach`` (``tests/shipped_calls.py``), which takes
+minutes and is not tier 1.
 """
 
 import ast
@@ -22,6 +28,8 @@ import functools
 import re
 from collections import Counter
 from pathlib import Path
+
+from tests.shipped_calls import SRC, classified, definitions
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ("src", "benchmarks", "examples", "perfbench")
@@ -112,4 +120,16 @@ def test_allow_list_has_no_stale_entries():
     assert stale == [], (
         "allow-listed names that shipped code now uses, or that are gone; "
         "drop them from ALLOWED:\n  " + "\n  ".join(stale)
+    )
+
+
+def test_never_run_list_names_existing_definitions():
+    listed = classified()
+    assert len(listed) > 50  # the bullets still parse
+    defined = {f"{Path(path).relative_to(SRC)}::{qualname}"
+               for path, qualname, _first, _count in definitions()}
+    gone = sorted(set(listed) - defined)
+    assert gone == [], (
+        "docs/ANALYSIS.md \"Never-run functions\" names functions that are "
+        "not defined in the file given; fix or drop them:\n  " + "\n  ".join(gone)
     )
