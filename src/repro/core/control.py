@@ -43,11 +43,11 @@ its DSP timer on a rebased tick grid, so the sink sees one bounded
 delivery gap (the ``failover_gap`` invariant) instead of a duplicate storm
 or an interrupt burst.
 
-Observability: ``core`` may not import ``repro.obs`` (layering), so the
-plane reports through a duck-typed ``observer`` with ``count``/``gauge``/
-``span`` methods -- :class:`repro.obs.controlstats.ControlPlaneMetrics`
-is the real implementation.  The observer is strictly observe-only: the
-plane never branches on it.
+Observability: the plane counts each outcome in its ``stats_*``
+counters (read by :meth:`SessionControlPlane.snapshot`) and appends each
+decision to ``decisions``, a list of ``(t_ns, event, fields)`` tuples in
+emission order -- the policy audit trail.  The plane never reads either
+back to decide anything.
 """
 
 from __future__ import annotations
@@ -223,13 +223,6 @@ class BandwidthLedger:
             0, self.ring_committed_bytes_per_sec - rate_bytes_per_sec
         )
 
-    def ring_commit_fraction(self) -> float:
-        if self.ring_budget_bytes_per_sec <= 0:
-            return 0.0
-        return (
-            self.ring_committed_bytes_per_sec / self.ring_budget_bytes_per_sec
-        )
-
 
 # ----------------------------------------------------------------------
 # managed sessions
@@ -354,12 +347,10 @@ class SessionControlPlane:
         self,
         testbed,
         config: Optional[ControlPlaneConfig] = None,
-        observer=None,
     ) -> None:
         self.testbed = testbed
         self.sim = testbed.sim
         self.config = config or ControlPlaneConfig()
-        self.observer = observer
         self.ledger = BandwidthLedger(self.config.ring_budget_bytes_per_sec())
         self._rng = testbed.rng.get("control-plane")
         self._ids = itertools.count(1)
@@ -383,6 +374,8 @@ class SessionControlPlane:
         self.stats_resumed = 0
         self.stats_failovers = 0
         self.stats_stranded = 0
+        #: Every decision in emission order: ``(t_ns, event, fields)``.
+        self.decisions: list[tuple[int, str, dict[str, Any]]] = []
 
     # ------------------------------------------------------------------
     # registration
@@ -453,12 +446,10 @@ class SessionControlPlane:
             ms.state = QUEUED
             self._queue.append(ms)
             self.stats_queued += 1
-            self._count("control.sessions.queued")
             self._span("queue", session=ms.control_id, reason=reason)
         else:
             ms.state = REJECTED
             self.stats_rejected += 1
-            self._count("control.sessions.rejected")
             self._span("reject", session=ms.control_id, reason=reason)
         return ms
 
@@ -532,11 +523,6 @@ class SessionControlPlane:
         ms.admitted_at_ns = self.sim.now
         ms.state = ESTABLISHING
         self.stats_admitted += 1
-        self._count("control.sessions.admitted")
-        self._gauge(
-            "control.ring.committed_fraction",
-            self.ledger.ring_commit_fraction(),
-        )
         self._span(
             "admit", session=ms.control_id, server=server, slot=ms.slot
         )
@@ -633,7 +619,6 @@ class SessionControlPlane:
             ms.server = ms.slot = None
         ms.state = STRANDED
         self.stats_stranded += 1
-        self._count("control.sessions.stranded")
         self._span("strand", session=ms.control_id)
         self._pump_queue()
 
@@ -659,7 +644,6 @@ class SessionControlPlane:
         if elapsed > 0:
             self.measured_utilization = (busy_now - busy_then) / elapsed
         self._busy_sample = (now, busy_now)
-        self._gauge("control.ring.utilization", self.measured_utilization)
 
     def _shed_step(self) -> None:
         util = self.measured_utilization
@@ -704,7 +688,6 @@ class SessionControlPlane:
         ms.state = SHED
         ms.sheds += 1
         self.stats_shed += 1
-        self._count("control.sessions.shed")
         self._span(
             "shed",
             session=ms.control_id,
@@ -727,7 +710,6 @@ class SessionControlPlane:
         ms.slot = self.ledger.commit(server, ms.rate_bytes_per_sec)
         ms.state = ESTABLISHING
         self.stats_resumed += 1
-        self._count("control.sessions.resumed")
         self._span("resume", session=ms.control_id, server=server)
         self._below_low_ticks = 0
         self._establish(
@@ -764,7 +746,6 @@ class SessionControlPlane:
     def _declare_down(self, server: str) -> None:
         """Mark a server dead and start failover for all its sessions."""
         self._down.add(server)
-        self._count("control.servers.down")
         self._span("server-down", server=server)
         for ms in self.sessions:
             if ms.server == server and ms.state == STREAMING:
@@ -787,7 +768,6 @@ class SessionControlPlane:
         ms.failovers.append(record)
         ms.state = FAILING_OVER
         self.stats_failovers += 1
-        self._count("control.sessions.failovers")
         self._span(
             "failover-detected",
             session=ms.control_id,
@@ -813,7 +793,6 @@ class SessionControlPlane:
             self.ledger.release_ring_only(ms.rate_bytes_per_sec)
             ms.state = STRANDED
             self.stats_stranded += 1
-            self._count("control.sessions.stranded")
             self._span("strand", session=ms.control_id)
             self._pump_queue()
             return
@@ -902,17 +881,5 @@ class SessionControlPlane:
             ),
         }
 
-    # ------------------------------------------------------------------
-    # observe-only reporting (duck-typed; never affects behaviour)
-    # ------------------------------------------------------------------
-    def _count(self, name: str, n: int = 1) -> None:
-        if self.observer is not None:
-            self.observer.count(name, n)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.observer is not None:
-            self.observer.gauge(name, value)
-
     def _span(self, event: str, **fields: Any) -> None:
-        if self.observer is not None:
-            self.observer.span(event, self.sim.now, **fields)
+        self.decisions.append((self.sim.now, event, fields))

@@ -199,25 +199,6 @@ class PresentationMachine:
         self._drain_to_now()
         # If we are now starved, the glitch was recorded by the drain.
 
-    def stop(self) -> None:
-        """End playback cleanly (end of the media, user pressed stop).
-
-        Drains to now and disarms the dry-buffer deadline so the natural
-        end of a stream is not miscounted as a glitch.
-        """
-        self._drain_to_now()
-        if self._deadline is not None:
-            self._deadline.cancel()
-            self._deadline = None
-        self._cancel_skip_timer()
-        self._playing = False
-        if self._skipping:
-            self._skipping = False
-            self.skipped_ns += self.sim.now - self._skip_started
-        if self._starved_since is not None:
-            self.glitches[-1].starved_for_ns = self.sim.now - self._starved_since
-            self._starved_since = None
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -178,7 +178,7 @@ class FailoverRun:
     sessions: list[SessionOutcome] = field(default_factory=list)
     #: Control-plane counter snapshot (empty for mode ``none``).
     control: dict = field(default_factory=dict)
-    #: Calendar entries dispatched (the observe-only guard pins this).
+    #: Calendar entries dispatched.
     events: int = 0
 
     def admitted(self) -> list[SessionOutcome]:
@@ -255,12 +255,10 @@ class _MonitorPool:
 
 
 def _run_controlled(
-    mode: str, bed: Testbed, duration_ns: int, observer
-) -> tuple[list[SessionOutcome], dict, "SessionControlPlane"]:
+    mode: str, bed: Testbed, duration_ns: int
+) -> tuple[list[SessionOutcome], dict]:
     """Run a control-plane mode; returns per-session outcomes."""
-    plane = SessionControlPlane(
-        bed, config=control_plane_config(mode), observer=observer
-    )
+    plane = SessionControlPlane(bed, config=control_plane_config(mode))
     for server in SERVERS:
         plane.register_server(server, slots=CONTROL_SLOTS_PER_SERVER)
     plane.start()
@@ -288,7 +286,7 @@ def _run_controlled(
             monitor.finish()
             outcome.violated = monitor.violated()
         outcomes.append(outcome)
-    return outcomes, plane.snapshot(), plane
+    return outcomes, plane.snapshot()
 
 
 def _run_uncontrolled(
@@ -350,14 +348,8 @@ def run_failover_one(
     mode: str,
     seed: int,
     duration_ns: int,
-    observer=None,
 ) -> FailoverRun:
-    """Run one mode under the shared churn + crash on a fresh testbed.
-
-    ``observer`` (a :class:`repro.obs.controlstats.ControlPlaneMetrics`)
-    receives the control plane's counters/decisions; it is observe-only
-    and must not perturb a single event (the guard test pins this).
-    """
+    """Run one mode under the shared churn + crash on a fresh testbed."""
     churn = build_churn(duration_ns)
     plan = build_crash_plan(duration_ns)
     bed = _build_testbed(seed)
@@ -371,9 +363,7 @@ def run_failover_one(
     if mode == "none":
         run.sessions = _run_uncontrolled(bed, duration_ns)
     else:
-        run.sessions, run.control, _ = _run_controlled(
-            mode, bed, duration_ns, observer
-        )
+        run.sessions, run.control = _run_controlled(mode, bed, duration_ns)
     run.events = bed.sim.stats_events
     return run
 

@@ -1,7 +1,7 @@
 """Supervised parallel campaign fleet: shard, retry, journal, merge.
 
-Chaos campaigns, ablation matrices, model-validation sweeps and failover
-campaigns are embarrassingly parallel across ``(seed, profile, intensity)``
+Chaos campaigns, ablation matrices and failover campaigns are
+embarrassingly parallel across ``(seed, profile, intensity)``
 points, but a naive pool dies wholesale on the first worker exception and
 loses hours of completed results to one Ctrl-C.  This module is the robust
 runner the robustness stack deserves, and it knows nothing about what a
@@ -71,7 +71,6 @@ JOURNAL_VERSION = 1
 KIND_MODULES = {
     "chaos": "repro.experiments.chaos",
     "ablation": "repro.experiments.ablations",
-    "validation": "repro.experiments.validation",
     "failover": "repro.experiments.failover",
 }
 

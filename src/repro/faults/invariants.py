@@ -47,15 +47,6 @@ class Violation:
     at_ns: int
     snapshot: dict[str, Any] = field(default_factory=dict)
 
-    def render(self) -> str:
-        lines = [
-            f"VIOLATION at {format_time(self.at_ns)}: {self.invariant}",
-            f"  {self.detail}",
-        ]
-        for key, value in self.snapshot.items():
-            lines.append(f"    {key} = {value}")
-        return "\n".join(lines)
-
 
 class StreamInvariantMonitor:
     """Watches one session's sink-side invariants while the clock runs.

@@ -80,10 +80,6 @@ class FlightRecorder:
         self.snapshots.append(snap)
         return snap
 
-    @property
-    def triggered(self) -> bool:
-        return bool(self.snapshots)
-
     def render(self) -> str:
         """Human-readable dump of every snapshot, deterministic."""
         if not self.snapshots:

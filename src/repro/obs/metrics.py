@@ -71,10 +71,6 @@ class HistogramInstrument:
     def record(self, value: int) -> None:
         self.histogram.add(value)
 
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
     def summary(self) -> dict[str, float]:
         """Count/mean/std/min/max in the instrument's own unit."""
         h = self.histogram

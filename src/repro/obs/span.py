@@ -162,11 +162,6 @@ class SpanRecorder:
         self.spans.append(span)
         return span
 
-    def discard(self, key: Hashable) -> None:
-        """Abandon an open span (e.g. its packet was lost on the wire)."""
-        if self._open.pop(key, None) is not None:
-            self.stats_dropped_open += 1
-
     def add_span(
         self,
         name: str,

@@ -137,9 +137,6 @@ class InsertionProcess:
         self._running = True
         self._schedule_next()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _mean_gap_ns(self) -> float:
         return DAY / self.insertions_per_day
 
@@ -150,8 +147,6 @@ class InsertionProcess:
         self.sim.schedule_fast(gap, self._insert)
 
     def _insert(self) -> None:
-        if not self._running:
-            return
         self.stats_insertions += 1
         self.insertion_times.append(self.sim.now)
         # "we have seen on the order of 10 Ring Purges back to back":

@@ -22,12 +22,7 @@ Only observable deliveries go on the calendar.  A frame reaches a station's
 host only through its ``receive`` hook, and a MAC frame only if the station
 sets ``accept_mac_frames`` (Section 4: the adapter ROM does not pass MAC
 frames to the host).  Every other delivery would change nothing, so it is
-not scheduled.  The one trace such deliveries leave is
-:attr:`~repro.ring.station.RingStation.stats_mac_frames_seen`, counted
-lazily by :meth:`TokenRing.mac_frames_seen`: the MAC frames whose delivery
-to the station fell due at or before ``sim.now``, minus those a Ring Purge
-destroyed in flight.  A purge at time ``t`` destroys the deliveries due
-after ``t``; like ``run(until=t)``, it leaves those due at ``t`` counted.
+not scheduled.
 """
 
 from __future__ import annotations
@@ -107,12 +102,6 @@ class TokenRing:
         self._down_until = 0
         self._purge_resume: Optional[Handle] = None
         self._requests: list[_Request] = []
-        # MAC frame deliveries are counted, not scheduled: the last MAC
-        # frame's (end of serialization, source position, destinations)
-        # waits here until the next MAC capture settles it into the
-        # per-position counts.
-        self._mac_frame: Optional[tuple[int, int, list]] = None
-        self._mac_seen: list[int] = []
 
         # --- statistics ---
         self.stats_frames_sent = 0
@@ -138,7 +127,6 @@ class TokenRing:
             )
         self.stations.append(station)
         self._by_address[station.address] = station
-        self._mac_seen.append(0)
         return position
 
     @property
@@ -276,13 +264,6 @@ class TokenRing:
             delivery_epoch = self._delivery_epoch
             destinations = self._destinations(frame)
             if frame.frame_class is FrameClass.MAC:
-                if self._mac_frame is not None:
-                    # The previous MAC frame's deliveries all fell due
-                    # before its release, hence before this capture.
-                    seen = self._mac_seen
-                    for dst in self._mac_frame[2]:
-                        seen[dst.position] += 1
-                self._mac_frame = (now + wire, src_pos, destinations)
                 destinations = [d for d in destinations if d.accept_mac_frames]
             for dst in destinations:
                 if dst.receive is not None:
@@ -358,16 +339,9 @@ class TokenRing:
             lost = self._holder
             self._holder = None
             # Logically cancel the in-flight deliveries and the pending
-            # release: bump their epochs so the queued entries no-op.  A
-            # MAC frame's deliveries not yet due are destroyed too.
+            # release: bump their epochs so the queued entries no-op.
             self._delivery_epoch += 1
             self._release_epoch += 1
-            if self._mac_frame is not None:
-                wire_end, src_pos, destinations = self._mac_frame
-                self._mac_frame = (wire_end, src_pos, [
-                    d for d in destinations
-                    if wire_end + self._hop_delay(src_pos, d) <= now
-                ])
             self.stats_frames_lost_to_purge += 1
             proto = lost.frame.protocol
             self.stats_lost_by_protocol[proto] = (
@@ -411,23 +385,6 @@ class TokenRing:
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` the wire carried frames."""
         return self.stats_busy_ns / elapsed_ns if elapsed_ns else 0.0
-
-    def mac_frames_seen(self, station) -> int:
-        """MAC frames delivered to ``station`` as of ``sim.now``.
-
-        Counts each MAC frame whose delivery to the station fell due at or
-        before ``sim.now`` and was not destroyed by a Ring Purge in flight
-        (see the module docstring).
-        """
-        seen = self._mac_seen[station.position]
-        if self._mac_frame is not None:
-            wire_end, src_pos, destinations = self._mac_frame
-            if (
-                station in destinations
-                and wire_end + self._hop_delay(src_pos, station) <= self.sim.now
-            ):
-                seen += 1
-        return seen
 
     def pending_count(self) -> int:
         """Frames queued ring-wide awaiting the token."""

@@ -36,17 +36,6 @@ class RingStation:
         self.accept_mac_frames = accept_mac_frames
         self.position = ring.attach(self)
 
-    @property
-    def stats_mac_frames_seen(self) -> int:
-        """MAC frames that have reached this adapter as of ``sim.now``.
-
-        The adapter sees every MAC frame on the ring, whether or not it
-        passes them to the host; a frame counts once its delivery here has
-        fallen due, unless a Ring Purge destroyed it in flight.  Counted
-        lazily by :meth:`TokenRing.mac_frames_seen`, not by a delivery.
-        """
-        return self.ring.mac_frames_seen(self)
-
     def transmit(
         self,
         frame: Frame,

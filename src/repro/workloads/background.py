@@ -69,16 +69,11 @@ class LightweightSender:
         self._running = True
         self._schedule_next()
 
-    def stop(self) -> None:
-        self._running = False
-
     def _schedule_next(self) -> None:
         gap = max(1, round(self._rng.expovariate(self.rate / SEC)))
         self.sim.schedule_fast(gap, self._emit)
 
     def _emit(self) -> None:
-        if not self._running:
-            return
         self.stats_sent += 1
         self.station.transmit(
             Frame(

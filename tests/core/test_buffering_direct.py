@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.buffering import PlayoutBuffer, required_buffer_bytes
 from repro.core.direct import TransferPath, paper_claims, predicted_copies
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 # ---------------------------------------------------------------------------

@@ -260,22 +260,64 @@ def test_snapshot_counts_decisions():
     assert snap["rejected"] == 0
 
 
-def test_observer_is_optional_and_duck_typed():
-    calls = []
+# ----------------------------------------------------------------------
+# the decision trail
+# ----------------------------------------------------------------------
+#: ``stats_*`` counter -> the trail event each one counts.
+COUNTED_EVENTS = {
+    "admitted": "admit",
+    "queued": "queue",
+    "rejected": "reject",
+    "shed": "shed",
+    "resumed": "resume",
+    "failovers": "failover-detected",
+    "stranded": "strand",
+}
 
-    class Observer:
-        def count(self, name, n=1):
-            calls.append(("count", name, n))
 
-        def gauge(self, name, value):
-            calls.append(("gauge", name, value))
+def _check_trail(plane):
+    times = [t_ns for t_ns, _event, _fields in plane.decisions]
+    assert times == sorted(times)
+    events = [event for _t_ns, event, _fields in plane.decisions]
+    snap = plane.snapshot()
+    for counter, event in COUNTED_EVENTS.items():
+        assert snap[counter] == events.count(event), counter
+    return events
 
-        def span(self, event, t_ns, **fields):
-            calls.append(("span", event))
 
+@pytest.mark.chaos
+def test_decision_trail_is_ordered_and_matches_the_counters(monkeypatch):
+    from repro.experiments import failover
+
+    planes = []
+
+    class Recorded(SessionControlPlane):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            planes.append(self)
+
+    monkeypatch.setattr(failover, "SessionControlPlane", Recorded)
+    failover.run_failover_one("failover", seed=1, duration_ns=3 * SEC)
+    (plane,) = planes
+    events = _check_trail(plane)
+    assert events.count("admit") == 2
+    for event in ("server-down", "failover-detected", "failover-attempt"):
+        assert events.count(event) == 1, event
+
+    # The shed-and-resume scenario of test_shed_and_watermark_resume_roundtrip.
     bed = _bed()
-    plane = SessionControlPlane(bed, observer=Observer())
-    plane.register_server("server-a", slots=1)
+    config = ControlPlaneConfig(shed_resume_hold_ticks=2)
+    plane = _plane(bed, config=config)
     plane.submit("c1")
-    assert ("count", "control.sessions.admitted", 1) in calls
-    assert any(c[0] == "span" and c[1] == "admit" for c in calls)
+    plane.submit("c2")
+    bed.run(SEC)
+    plane.measured_utilization = config.shed_high_watermark + 0.05
+    plane._shed_step()
+    plane.measured_utilization = config.shed_low_watermark - 0.1
+    plane._shed_step()
+    plane._shed_step()
+    bed.run(SEC)
+    events = _check_trail(plane)
+    assert [e for e in events if e in COUNTED_EVENTS.values()] == [
+        "admit", "admit", "shed", "resume",
+    ]

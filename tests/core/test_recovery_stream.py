@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket
 from repro.core.recovery import DUPLICATE, GAP, OK, REORDERED, SequenceTracker
 from repro.core.stream import StreamStats
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 def test_in_order_stream_is_all_ok():

@@ -1,7 +1,5 @@
 """Detailed tests for CTMS session establishment (the ioctl choreography)."""
 
-import pytest
-
 from repro.core.session import CTMSSession
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed

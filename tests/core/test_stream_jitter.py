@@ -2,8 +2,6 @@
 
 import statistics
 
-import pytest
-
 from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket
 from repro.core.stream import StreamStats
 from repro.experiments.runner import run_scenario

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ctmsp import CTMSP_HEADER_BYTES, CTMSPPacket
+from repro.core.ctmsp import CTMSPPacket
 from repro.core.session import CTMSSession
 from repro.drivers.vca import VCADriverConfig
 from repro.experiments.testbed import HostConfig

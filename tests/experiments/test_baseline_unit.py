@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.baseline import BaselineResult, run_stock_relay
-from repro.sim.units import MS, SEC
+from repro.sim.units import SEC
 
 
 def make_result(**kw):

@@ -1,13 +1,10 @@
 """Tests for the Section 5.2.1 campaign controller (halt on anomaly)."""
 
-import pytest
-
 from repro.core.session import CTMSSession
 from repro.experiments.controller import (
     LONG_INTERVAL,
     LOST_PACKET,
     CampaignController,
-    Snapshot,
 )
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed

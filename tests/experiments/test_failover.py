@@ -1,5 +1,5 @@
 """Tests for the failover chaos campaign: golden lock, determinism,
-observe-only guard, acceptance claims, and the fleet wiring.
+acceptance claims, and the fleet wiring.
 
 The golden pins the whole causal chain -- churn admission, the mid-run
 crash of ``server-a``, stall detection, re-placement on the hot spare,
@@ -21,7 +21,6 @@ from repro.experiments.failover import (
     run_failover_one,
 )
 from repro.experiments.fleet import Journal, journal_path, run_fleet
-from repro.obs.controlstats import ControlPlaneMetrics
 from repro.sim.units import MS, SEC
 
 GOLDEN_REPORT = """\
@@ -112,24 +111,6 @@ def test_failover_mode_saves_every_admitted_session():
 @pytest.mark.chaos
 def test_failover_gap_budget_is_the_documented_600ms():
     assert FAILOVER_GAP_BUDGET_NS == 600 * MS
-
-
-# ----------------------------------------------------------------------
-# observe-only guard
-# ----------------------------------------------------------------------
-@pytest.mark.chaos
-def test_control_metrics_are_observe_only():
-    bare = run_failover_one("failover", seed=1, duration_ns=3 * SEC)
-    metrics = ControlPlaneMetrics()
-    observed = run_failover_one(
-        "failover", seed=1, duration_ns=3 * SEC, observer=metrics
-    )
-    # Not one extra simulation event, identical outcomes...
-    assert observed.events == bare.events
-    assert observed.as_dict() == bare.as_dict()
-    # ...and yet the observer saw the whole story.
-    assert [event for _, event, _ in metrics.decisions].count("admit") == 2
-    assert "control" in metrics.render()
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.experiments import chaos, validation
+from repro.experiments import chaos
 from repro.experiments.ablations import ablation_fleet_spec
 from repro.experiments.chaos import (
     ChaosPointError,
@@ -31,15 +31,15 @@ from repro.experiments.fleet import (
     kind_module,
     run_fleet,
 )
-from repro.experiments.validation import validation_fleet_spec
 from repro.faults.workers import WorkerFaultSpec
 from repro.obs import fleetstats
 from repro.obs.fleetstats import fleet_counts, fleet_summary
 from repro.sim.units import SEC
 
 
-def small_validation_spec(seeds=(3, 4)):
-    return validation_fleet_spec(list(seeds), n_frames=12)
+def small_chaos_spec(seeds=(3,)):
+    """Two cheap points per seed: one stock, one CTMSP."""
+    return chaos_fleet_spec(list(seeds), duration_ns=1 * SEC, intensities=(1.0,))
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_spec_kinds_have_distinct_campaigns():
     ids = {
         chaos_fleet_spec([1], duration_ns=1 * SEC).campaign_id(),
         ablation_fleet_spec(1 * SEC).campaign_id(),
-        small_validation_spec().campaign_id(),
+        failover_fleet_spec([1], duration_ns=1 * SEC).campaign_id(),
     }
     assert len(ids) == 3
 
@@ -77,7 +77,7 @@ def test_duplicate_point_keys_rejected():
     )
     assert point.key == "k:1"
     with pytest.raises(ValueError, match="duplicate"):
-        FleetSpec(kind="validation", points=[point, point])
+        FleetSpec(kind="chaos", points=[point, point])
 
 
 def test_unknown_kind_rejected():
@@ -90,10 +90,9 @@ def test_unknown_kind_rejected():
     [
         lambda: chaos_fleet_spec([], duration_ns=1 * SEC),
         lambda: ablation_fleet_spec(1 * SEC, seeds=[]),
-        lambda: validation_fleet_spec([]),
         lambda: failover_fleet_spec([], duration_ns=1 * SEC),
     ],
-    ids=["chaos", "ablation", "validation", "failover"],
+    ids=["chaos", "ablation", "failover"],
 )
 def test_empty_campaign_rejected(build):
     with pytest.raises(ValueError, match="campaign has no points"):
@@ -101,7 +100,7 @@ def test_empty_campaign_rejected(build):
 
 
 def test_every_kind_module_defines_the_four_hooks():
-    assert set(KIND_MODULES) == {"chaos", "ablation", "validation", "failover"}
+    assert set(KIND_MODULES) == {"chaos", "ablation", "failover"}
     for kind in KIND_MODULES:
         module = kind_module(kind)
         assert callable(module.run_point), kind
@@ -128,15 +127,6 @@ KIND_PINS = {
             "12c85592978f:1",
             "085c58ce993c:1",
             "6e692aa39849:1",
-        ],
-    ),
-    "validation": (
-        lambda: validation_fleet_spec([1, 2], n_frames=12),
-        "25ee215d452d5773a92b47296ef1f1c8eda49f4553d23741e7e1cb68debc4a52",
-        "079fa06215d1",
-        [
-            "12a464a17b97:1",
-            "12a464a17b97:2",
         ],
     ),
     "failover": (
@@ -219,17 +209,17 @@ def test_worker_fault_wildcards_and_round_trip():
 # the journal
 # ----------------------------------------------------------------------
 def test_journal_round_trip(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     path = journal_path(spec, tmp_path)
     journal = Journal.create(path, spec)
-    journal.record_ok(spec.points[0], 1, {"agrees": True})
+    journal.record_ok(spec.points[0], 1, {"survived": True})
     journal.record_failed(spec.points[1], 3, "boom")
     journal.close()
     header, records = Journal.load(path)
     assert header["campaign"] == spec.campaign_id()
     assert header["total_points"] == 2
     assert records[spec.points[0].key]["status"] == "ok"
-    assert records[spec.points[0].key]["result"] == {"agrees": True}
+    assert records[spec.points[0].key]["result"] == {"survived": True}
     failed = records[spec.points[1].key]
     assert failed["status"] == "failed"
     assert failed["error"] == "boom"
@@ -280,13 +270,13 @@ def test_torn_multibyte_line_mid_file_skips_only_itself(tmp_path):
 
 
 def test_append_after_torn_tail_starts_a_fresh_line(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     path = tmp_path / "journal.jsonl"
     path.write_text(
         json.dumps({"campaign": spec.campaign_id()}) + "\n" + '{"key": "torn'
     )
     journal = Journal.append_to(path)
-    journal.record_ok(spec.points[0], 1, {"agrees": True})
+    journal.record_ok(spec.points[0], 1, {"survived": True})
     journal.close()
     _header, records = Journal.load(path)
     assert records[spec.points[0].key]["status"] == "ok"
@@ -295,11 +285,11 @@ def test_append_after_torn_tail_starts_a_fresh_line(tmp_path):
 # ----------------------------------------------------------------------
 # the serial reference path
 # ----------------------------------------------------------------------
-def test_serial_validation_fleet(tmp_path):
-    spec = small_validation_spec()
+def test_serial_chaos_fleet(tmp_path):
+    spec = small_chaos_spec()
     result = run_fleet(spec, jobs=1, state_dir=tmp_path)
     assert result.ok()
-    assert "agreement: 2/2 seeds" in result.render()
+    assert "survived: stock 1/1, ctmsp 1/1" in result.render()
     assert result.journal.is_file()
     counts = fleet_counts(result.registry)
     assert counts[fleetstats.POINTS_DISPATCHED] == 2
@@ -308,9 +298,11 @@ def test_serial_validation_fleet(tmp_path):
 
 
 def test_transient_fault_is_retried_to_success(tmp_path):
-    fault = WorkerFaultSpec(kind="fail", seeds=(3,), max_attempt=1)
+    fault = WorkerFaultSpec(
+        kind="fail", seeds=(3,), profiles=("stock",), max_attempt=1
+    )
     result = run_fleet(
-        small_validation_spec(),
+        small_chaos_spec(),
         jobs=1,
         state_dir=tmp_path,
         retry=RetryPolicy(max_attempts=3, backoff_s=0.001),
@@ -320,13 +312,15 @@ def test_transient_fault_is_retried_to_success(tmp_path):
     assert "FAILED POINTS" not in result.render()
     counts = fleet_counts(result.registry)
     assert counts[fleetstats.POINTS_RETRIED] == 1
-    key = next(p.key for p in result.spec.points if p.seed == 3)
+    key = next(p.key for p in result.spec.points if p.profile == "stock")
     assert result.results[key]["attempts"] == 2
 
 
 def test_exhausted_retries_degrade_gracefully(tmp_path):
-    fault = WorkerFaultSpec(kind="fail", seeds=(3,), max_attempt=99)
-    spec = small_validation_spec()
+    fault = WorkerFaultSpec(
+        kind="fail", seeds=(3,), profiles=("stock",), max_attempt=99
+    )
+    spec = small_chaos_spec()
     result = run_fleet(
         spec,
         jobs=1,
@@ -337,9 +331,9 @@ def test_exhausted_retries_degrade_gracefully(tmp_path):
     assert not result.ok()
     text = result.render()
     # The survivor still renders; the failure is explicit and replayable.
-    assert "agreement: 1/1 seeds" in text
+    assert "survived: stock 0/0, ctmsp 1/1" in text
     assert "FAILED POINTS (1)" in text
-    failed_point = next(p for p in spec.points if p.seed == 3)
+    failed_point = next(p for p in spec.points if p.profile == "stock")
     assert failed_point.replay in text
     counts = fleet_counts(result.registry)
     assert counts[fleetstats.POINTS_FAILED] == 1
@@ -347,10 +341,10 @@ def test_exhausted_retries_degrade_gracefully(tmp_path):
 
 
 def test_resume_skips_journalled_points(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     first = run_fleet(spec, jobs=1, state_dir=tmp_path)
     resumed = run_fleet(
-        small_validation_spec(), jobs=1, state_dir=tmp_path, resume=True
+        small_chaos_spec(), jobs=1, state_dir=tmp_path, resume=True
     )
     counts = fleet_counts(resumed.registry)
     assert counts[fleetstats.POINTS_RESUMED] == 2
@@ -359,8 +353,8 @@ def test_resume_skips_journalled_points(tmp_path):
 
 
 def test_resume_rejects_foreign_journal(tmp_path):
-    spec_a = small_validation_spec(seeds=(3, 4))
-    spec_b = small_validation_spec(seeds=(5, 6))
+    spec_a = small_chaos_spec(seeds=(3,))
+    spec_b = small_chaos_spec(seeds=(5,))
     run_fleet(spec_a, jobs=1, state_dir=tmp_path)
     path_b = journal_path(spec_b, tmp_path)
     path_b.parent.mkdir(parents=True)
@@ -372,8 +366,8 @@ def test_resume_rejects_foreign_journal(tmp_path):
 def test_interrupt_flushes_journal_and_carries_resume_hint(
     tmp_path, monkeypatch
 ):
-    spec = small_validation_spec()
-    real_runner = validation.run_point
+    spec = small_chaos_spec()
+    real_runner = chaos.run_point
     calls = []
 
     def interrupting(params):
@@ -382,7 +376,7 @@ def test_interrupt_flushes_journal_and_carries_resume_hint(
             raise KeyboardInterrupt
         return real_runner(params)
 
-    monkeypatch.setattr(validation, "run_point", interrupting)
+    monkeypatch.setattr(chaos, "run_point", interrupting)
     with pytest.raises(FleetInterrupted) as excinfo:
         run_fleet(
             spec, jobs=1, state_dir=tmp_path, resume_hint="repro ... --resume"
@@ -395,9 +389,9 @@ def test_interrupt_flushes_journal_and_carries_resume_hint(
     _header, records = Journal.load(intr.journal)
     assert len(records) == 1
     # ...and a resumed run finishes without redoing it.
-    monkeypatch.setattr(validation, "run_point", real_runner)
+    monkeypatch.setattr(chaos, "run_point", real_runner)
     resumed = run_fleet(
-        small_validation_spec(), jobs=1, state_dir=tmp_path, resume=True
+        small_chaos_spec(), jobs=1, state_dir=tmp_path, resume=True
     )
     assert resumed.ok()
     assert fleet_counts(resumed.registry)[fleetstats.POINTS_DISPATCHED] == 1
@@ -446,7 +440,7 @@ def test_chaos_point_error_reaches_the_failure_report(tmp_path, monkeypatch):
 def test_fleet_status(tmp_path):
     empty = fleet_status(tmp_path / "nowhere")
     assert "nothing journalled yet" in empty
-    result = run_fleet(small_validation_spec(), jobs=1, state_dir=tmp_path)
+    result = run_fleet(small_chaos_spec(), jobs=1, state_dir=tmp_path)
     status = fleet_status(tmp_path)
     assert f"campaign-{result.spec.campaign_id()}" in status
     assert "2/2 ok, 0 failed, complete" in status

@@ -8,8 +8,7 @@ concurrent watcher while the supervisor is mid-append.
 
 import json
 
-import pytest
-
+from repro.experiments.chaos import chaos_fleet_spec
 from repro.experiments.fleet import (
     Journal,
     fleet_status,
@@ -17,12 +16,13 @@ from repro.experiments.fleet import (
     journal_path,
     run_fleet,
 )
-from repro.experiments.validation import validation_fleet_spec
 from repro.obs import telemetry
+from repro.sim.units import SEC
 
 
-def small_validation_spec(seeds=(3, 4)):
-    return validation_fleet_spec(list(seeds), n_frames=12)
+def small_chaos_spec(seeds=(3,)):
+    """Two cheap points per seed: one stock, one CTMSP."""
+    return chaos_fleet_spec(list(seeds), duration_ns=1 * SEC, intensities=(1.0,))
 
 
 def events_in(path):
@@ -34,7 +34,7 @@ def events_in(path):
 # the observe-only golden: the merge cannot tell telemetry was there
 # ----------------------------------------------------------------------
 def test_merged_report_is_byte_identical_with_telemetry_on_or_off(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     with_telemetry = run_fleet(spec, jobs=1, state_dir=tmp_path / "on")
     without = run_fleet(spec, jobs=1, state_dir=tmp_path / "off", telemetry=False)
     assert with_telemetry.render().encode() == without.render().encode()
@@ -60,7 +60,7 @@ def test_merged_report_is_byte_identical_with_telemetry_on_or_off(tmp_path):
 
 
 def test_point_finished_records_carry_wall_clock_and_sim_events(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     result = run_fleet(spec, jobs=1, state_dir=tmp_path)
     _header, _records, recs = Journal.load_full(result.journal)
     finished = telemetry.events_of(recs, telemetry.EVENT_POINT_FINISHED)
@@ -78,7 +78,7 @@ def test_point_finished_records_carry_wall_clock_and_sim_events(tmp_path):
 
 
 def test_telemetry_round_trips_through_resume(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     first = run_fleet(spec, jobs=1, state_dir=tmp_path)
     resumed = run_fleet(spec, jobs=1, state_dir=tmp_path, resume=True)
     # The resumed run re-ran nothing, merged identically...
@@ -97,10 +97,10 @@ def test_telemetry_round_trips_through_resume(tmp_path):
 # torn tails under a concurrent writer
 # ----------------------------------------------------------------------
 def test_load_full_skips_concurrent_writers_torn_tail(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     path = journal_path(spec, tmp_path)
     journal = Journal.create(path, spec)
-    journal.record_ok(spec.points[0], 1, {"agrees": True})
+    journal.record_ok(spec.points[0], 1, {"survived": True})
     journal.record_telemetry(
         telemetry.record(
             telemetry.EVENT_POINT_STARTED, ts=1.0, point=spec.points[1].key
@@ -139,7 +139,7 @@ def test_load_full_ignores_flushed_tail_that_parses_as_json(tmp_path):
 # status and watch
 # ----------------------------------------------------------------------
 def test_fleet_status_reports_elapsed_and_rate_from_timestamps(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     run_fleet(spec, jobs=1, state_dir=tmp_path)
     status = fleet_status(tmp_path)
     assert "2/2 ok, 0 failed, complete" in status
@@ -150,7 +150,7 @@ def test_fleet_status_reports_elapsed_and_rate_from_timestamps(tmp_path):
 
 
 def test_fleet_status_without_telemetry_falls_back_to_counts(tmp_path):
-    run_fleet(small_validation_spec(), jobs=1, state_dir=tmp_path,
+    run_fleet(small_chaos_spec(), jobs=1, state_dir=tmp_path,
               telemetry=False)
     status = fleet_status(tmp_path)
     assert "no telemetry timestamps journalled" in status
@@ -181,26 +181,26 @@ def test_fleet_status_telemetry_only_journal_prints_no_rate(tmp_path):
 
 
 def test_fleet_watch_renders_finished_campaign_and_stops(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     run_fleet(spec, jobs=1, state_dir=tmp_path)
     lines = []
     prog = fleet_watch(tmp_path, emit=lines.append)
     assert prog is not None and prog.finished
     assert len(lines) == 1  # finished campaign: one render, no tailing
-    assert f"{spec.campaign_id()} [validation]" in lines[0]
+    assert f"{spec.campaign_id()} [chaos]" in lines[0]
     assert "2/2 done" in lines[0]
     assert "finished in" in lines[0]
 
 
 def test_fleet_watch_honors_one_shot_and_max_updates(tmp_path):
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     path = journal_path(spec, tmp_path)
     journal = Journal.create(path, spec)  # campaign still "running"
     journal.record_telemetry(
         telemetry.record(telemetry.EVENT_CAMPAIGN_STARTED, ts=1.0,
                          campaign=spec.campaign_id(), kind=spec.kind)
     )
-    journal.record_ok(spec.points[0], 1, {"agrees": True})
+    journal.record_ok(spec.points[0], 1, {"survived": True})
     journal.close()
     lines = []
     prog = fleet_watch(tmp_path, emit=lines.append, follow=False)
@@ -214,7 +214,7 @@ def test_fleet_watch_honors_one_shot_and_max_updates(tmp_path):
 
 def test_fleet_watch_campaign_filter_and_empty_dir(tmp_path):
     assert fleet_watch(tmp_path / "nothing", emit=lambda _l: None) is None
-    spec = small_validation_spec()
+    spec = small_chaos_spec()
     run_fleet(spec, jobs=1, state_dir=tmp_path)
     lines = []
     assert fleet_watch(tmp_path, campaign="no-such-campaign",

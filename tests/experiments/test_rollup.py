@@ -24,7 +24,6 @@ from repro.experiments.rollup import (
     load_campaigns,
     rollup,
 )
-from repro.experiments.validation import validation_fleet_spec
 from repro.sim.engine import Simulator
 from repro.sim.units import SEC
 
@@ -124,7 +123,7 @@ def test_rollup_over_mixed_real_campaigns(tmp_path):
         chaos_fleet_spec([1], duration_ns=1 * SEC, intensities=(1.0,)),
         jobs=1, state_dir=tmp_path,
     )
-    run_fleet(validation_fleet_spec([3], n_frames=12), jobs=1,
+    run_fleet(failover_fleet_spec([1], duration_ns=1 * SEC), jobs=1,
               state_dir=tmp_path)
     report = rollup(tmp_path)
     assert len(report.campaigns) == 2
@@ -132,9 +131,9 @@ def test_rollup_over_mixed_real_campaigns(tmp_path):
     assert "Campaign rollup: 2 journal(s)" in text
     assert "Survival surface" in text
     assert "Delivered quality by profile" in text
-    assert "Model validation rollup: 1/1 seeds agree" in text
-    # The loader ordering is stable: chaos sorts before validation.
-    assert [c.kind for c in report.campaigns] == ["chaos", "validation"]
+    assert "Failover rollup (totals across seeds)" in text
+    # The loader ordering is stable: chaos sorts before failover.
+    assert [c.kind for c in report.campaigns] == ["chaos", "failover"]
 
 
 @pytest.mark.fleet
@@ -149,12 +148,14 @@ def test_rollup_is_byte_identical_across_job_counts(tmp_path):
 
 
 def test_load_campaigns_accepts_many_dirs_and_missing_ones(tmp_path):
-    run_fleet(validation_fleet_spec([3], n_frames=12), jobs=1,
-              state_dir=tmp_path / "a")
+    run_fleet(
+        chaos_fleet_spec([3], duration_ns=1 * SEC, intensities=(1.0,)),
+        jobs=1, state_dir=tmp_path / "a",
+    )
     campaigns = load_campaigns([tmp_path / "a", tmp_path / "missing"])
     assert len(campaigns) == 1
-    assert campaigns[0].kind == "validation"
-    assert campaigns[0].counts() == (1, 1, 0)
+    assert campaigns[0].kind == "chaos"
+    assert campaigns[0].counts() == (2, 2, 0)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +165,10 @@ def test_load_campaigns_accepts_many_dirs_and_missing_ones(tmp_path):
 #: ``to_json()``).  Recorded while every per-kind aggregator still lived
 #: in rollup.py, so moving the arithmetic into the kind modules cannot
 #: change a byte unnoticed.  ``failover`` was re-pinned once, when its
-#: section landed: its overview lines are the old pin's bytes.
+#: section landed: its overview lines are the old pin's bytes.  ``mixed``
+#: was re-pinned once, when the validation kind was deleted: it lost the
+#: validation overview row and section, and its other lines are the old
+#: pin's bytes.
 ROLLUP_PINS = {
     "chaos": (
         lambda: [chaos_fleet_spec([1, 2, 3], duration_ns=1 * SEC,
@@ -177,19 +181,13 @@ ROLLUP_PINS = {
         "05bccbe15bc549e6dceb00ce105feef97c19a7686337ef852a5a0e50aa538a8f",
         "9d0a58948e2eb2420fc473d6769f7223829b89db9292672a3e2ad06123afc12e",
     ),
-    "validation": (
-        lambda: [validation_fleet_spec([1, 2], n_frames=12)],
-        "4622cee1927b7cdff5fab889e8964a47489979ff62f421ac8f6ea8a6e1ef0040",
-        "2043999457f79e13390577b2f17524e268335fe5aae4b0b4ca781b340861a89e",
-    ),
     "mixed": (
         lambda: [
             ablation_fleet_spec(1 * SEC),
             chaos_fleet_spec([1], duration_ns=1 * SEC, intensities=(1.0,)),
-            validation_fleet_spec([1, 2], n_frames=12),
         ],
-        "b67852ce5b585ced01271a4a85a20a934a6e7a58c05bf9cc7d62ce5c7569e3bc",
-        "7e94e04bfd57bdc343bf3106955da901ac1ec0078916119467c41878803ba945",
+        "7f17b998c9d972cce1d57edd9567546a9755f62faec56578e401db812f2d67b7",
+        "1542083845ba11b55e3ee7669f5a41d64bcfceea49f196ec1844a6e49e2b93bb",
     ),
     "failover": (
         lambda: [failover_fleet_spec([1], duration_ns=2 * SEC)],

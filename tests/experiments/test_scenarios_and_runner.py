@@ -10,12 +10,11 @@ from repro.experiments.runner import (
     HISTOGRAM_NAMES,
     run_scenario,
 )
-from repro.experiments.scenarios import Scenario
 from repro.experiments.scenarios import test_case_a as scenario_a
 from repro.experiments.scenarios import test_case_b as scenario_b
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.sim.units import MS, SEC
+from repro.sim.units import SEC
 
 
 def test_test_case_a_matches_the_paper_description():

@@ -1,10 +1,7 @@
 """Tests for the model-validation library."""
 
-import pytest
-
 from repro.experiments.validation import (
     AGREEMENT_TOLERANCE_NS,
-    ValidationResult,
     random_plan,
     validate,
 )
@@ -28,13 +25,6 @@ def test_validate_agrees_on_default_workload():
     assert result.mean_delivery_skew_ns < AGREEMENT_TOLERANCE_NS
     # Worst case bounded by one maximum wire time (knife-edge order flip).
     assert result.max_delivery_skew_ns <= 5_100_000
-
-
-def test_validation_result_agrees_property():
-    good = ValidationResult(10, AGREEMENT_TOLERANCE_NS, 100.0, 30, 5000)
-    bad = ValidationResult(10, AGREEMENT_TOLERANCE_NS + 1, 100.0, 30, 5000)
-    assert good.agrees
-    assert not bad.agrees
 
 
 def test_different_seeds_give_different_workloads():

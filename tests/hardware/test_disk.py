@@ -6,13 +6,12 @@ from repro.hardware.disk import (
     DISK_AVG_SEEK,
     DISK_NS_PER_BYTE,
     DISK_TRACK_BYTES,
-    DISK_TRACK_SEEK,
     DiskAdapter,
 )
 from repro.hardware.machine import Machine
 from repro.hardware.memory import Region
 from repro.sim.engine import Simulator
-from repro.sim.units import MS, SEC, US
+from repro.sim.units import MS, SEC
 
 
 def build():

@@ -173,4 +173,3 @@ def test_mac_frames_never_reach_the_host():
     a1.station.transmit(mac_frame("m1"))
     sim.run(until=SEC)
     assert got == []
-    assert a2.station.stats_mac_frames_seen == 1

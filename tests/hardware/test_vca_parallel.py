@@ -1,7 +1,5 @@
 """Tests for the VCA interrupt source and the parallel measurement port."""
 
-import statistics
-
 from repro.hardware import calibration
 from repro.hardware.cpu import CPU, Exec
 from repro.hardware.machine import Machine

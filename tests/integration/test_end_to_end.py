@@ -6,7 +6,7 @@ from repro.core.session import CTMSSession
 from repro.experiments.scenarios import test_case_a as scenario_a
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
-from repro.sim.units import MS, SEC, US
+from repro.sim.units import MS, SEC
 
 
 def build_quiet_session(duration=3 * SEC, seed=3):

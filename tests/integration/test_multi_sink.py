@@ -6,8 +6,6 @@ transmitters stream to two VCA sink devices on the same receiver; each
 sink's classifier claims only its own device number.
 """
 
-import pytest
-
 from repro.core.session import CTMSSession
 from repro.drivers.vca import VCADriver, VCADriverConfig
 from repro.experiments.testbed import HostConfig

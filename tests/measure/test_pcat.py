@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.hardware import calibration
 from repro.hardware.parallel_port import ParallelPort
 from repro.measure.pcat import (
-    CLOCK_MODULUS,
     MARKER_CHANNEL,
     PcatTimestamper,
     match_by_packet_number,

@@ -24,7 +24,7 @@ def test_snapshot_freezes_current_telemetry():
     rec.begin(("open",), "inflight", "disk", "tx/disk")
     reg.counter("pkts").incr(3)
     snap = fr.snapshot("stream-starved", 30, {"detail": "gap"})
-    assert fr.triggered
+    assert fr.snapshots == [snap]
     assert [s.name for s in snap.recent_spans] == ["b", "c"]  # tail=2
     assert [s.name for s in snap.open_spans] == ["inflight"]
     assert snap.metrics["counters"]["pkts"]["value"] == 3
@@ -57,7 +57,7 @@ def test_chaos_run_snapshots_first_violation():
     plan = build_plan(1, 2.0, duration)
     fr = FlightRecorder()
     run = run_one("stock", plan, 1, duration, intensity=2.0, flight_recorder=fr)
-    assert fr.triggered == bool(run.violations)
+    assert bool(fr.snapshots) == bool(run.violations)
     assert len(fr.snapshots) == min(len(run.violations), fr.max_snapshots)
     for snap, violation in zip(fr.snapshots, run.violations):
         assert snap.reason == violation.invariant

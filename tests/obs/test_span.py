@@ -43,15 +43,6 @@ def test_rebegin_replaces_and_counts_drop():
     assert [s.name for s in rec.spans] == ["second"]
 
 
-def test_discard_abandons_open_span():
-    _sim, rec = make_recorder()
-    rec.begin(("k",), "s", "ring", "t")
-    rec.discard(("k",))
-    assert rec.open_count == 0
-    assert rec.stats_dropped_open == 1
-    assert rec.spans == []
-
-
 def test_add_span_rejects_negative_duration():
     _sim, rec = make_recorder()
     with pytest.raises(ValueError):

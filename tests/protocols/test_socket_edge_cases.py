@@ -1,7 +1,5 @@
 """Edge-case tests for the socket layer: mbuf exhaustion, blocking recv."""
 
-import pytest
-
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
 from repro.protocols.stack import NetStack

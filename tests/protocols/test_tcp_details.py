@@ -1,11 +1,9 @@
 """Focused tests for TCP mechanics: window, acks, retransmission timing."""
 
-import pytest
-
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
 from repro.protocols.stack import NetStack
-from repro.protocols.tcp import TCP_RTO, TCP_WINDOW_BYTES, TcpConnection
+from repro.protocols.tcp import TCP_RTO, TCP_WINDOW_BYTES
 from repro.protocols.headers import TCP_MSS
 from repro.sim.units import MS, SEC
 from repro.unix.process import UserProcess

@@ -6,8 +6,6 @@ agree within the token-access uncertainty (one ring rotation), and that the
 priority mechanism makes the same scheduling decisions.
 """
 
-import pytest
-
 from repro.ring.detailed import DetailedTokenRing
 from repro.ring.frames import Frame
 from repro.ring.network import TokenRing

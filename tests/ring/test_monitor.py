@@ -76,9 +76,7 @@ def test_insertion_outage_is_on_the_order_of_100ms():
     arrivals = []
     dest.receive = lambda f: arrivals.append(sim.now)
     # Force one insertion immediately.
-    inserter._running = True
     inserter._insert()
-    inserter.stop()
     src = ring.stations[0]
     src.transmit(Frame(src=src.address, dst="dest", info_bytes=100))
     sim.run(until=2 * SEC)
@@ -95,16 +93,6 @@ def test_insertion_rate_roughly_one_per_hour():
     sim.run(until=12 * HOUR)
     # 20/day = ~10 in 12h; Poisson so allow a broad band.
     assert 3 <= inserter.stats_insertions <= 20
-
-
-def test_stopped_inserter_stops():
-    sim, ring, monitor, inserter = build(insertions_per_day=24 * 600.0)
-    inserter.start()
-    sim.run(until=1 * MINUTE)
-    count = inserter.stats_insertions
-    inserter.stop()
-    sim.run(until=2 * MINUTE)
-    assert inserter.stats_insertions == count
 
 
 def test_purge_issues_ring_purge_mac_frame():

@@ -125,12 +125,12 @@ def test_supervisor_loads_no_campaign_kind(module):
 
 
 def test_rollup_loads_only_the_kinds_it_finds(tmp_path):
+    from repro.experiments.chaos import chaos_fleet_spec
     from repro.experiments.fleet import KIND_MODULES, run_fleet
-    from repro.experiments.validation import validation_fleet_spec
+    from repro.sim.units import SEC
 
-    assert run_fleet(
-        validation_fleet_spec([1], n_frames=12), jobs=1, state_dir=tmp_path
-    ).ok()
+    spec = chaos_fleet_spec([1], duration_ns=1 * SEC, intensities=(1.0,))
+    assert run_fleet(spec, jobs=1, state_dir=tmp_path).ok()
     script = (
         "import json, sys\n"
         "from repro.experiments.rollup import rollup\n"
@@ -138,7 +138,7 @@ def test_rollup_loads_only_the_kinds_it_finds(tmp_path):
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     loaded = set(json.loads(run_fresh(script)))
-    assert loaded & set(KIND_MODULES.values()) == {KIND_MODULES["validation"]}
+    assert loaded & set(KIND_MODULES.values()) == {KIND_MODULES["chaos"]}
 
 
 @pytest.mark.parametrize(

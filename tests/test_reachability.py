@@ -38,8 +38,6 @@ ALLOWED = {
     # The per-file reference that tests/analysis/test_per_file_reference.py
     # compares the whole-program engine against.
     "repro.analysis.engine.lint_source",
-    # Goes when model validation becomes a reproduction campaign point.
-    "repro.experiments.validation.validation_fleet_spec",
 }
 
 _WORD = re.compile(r"[A-Za-z_]\w*")

@@ -1,4 +1,5 @@
-"""No module in ``src/repro`` imports a name it never reads.
+"""No module in ``src/repro``, ``tests``, ``benchmarks`` or ``examples``
+imports a name it never reads.
 
 An unused import costs set-up time in every process that loads the
 module (the environment compiles from source on each run) and tells a
@@ -12,7 +13,7 @@ ctms-lint rule, so ``repro lint`` does no extra work for it.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -61,10 +62,18 @@ def test_gate_sees_string_annotations_and_skips_future():
     assert unused_imports(source) == [(2, "Any"), (3, "os")]
 
 
-def test_src_imports_nothing_it_does_not_read():
-    found = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+def _found(*trees: str) -> list[str]:
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+        for tree in trees
+        for path in sorted((REPO_ROOT / tree).rglob("*.py"))
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
-    assert found == []
+
+
+def test_src_imports_nothing_it_does_not_read():
+    assert _found("src/repro") == []
+
+
+def test_tests_benchmarks_and_examples_import_nothing_they_do_not_read():
+    assert _found("tests", "benchmarks", "examples") == []

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import Simulator
 from repro.unix.mbuf import (
     CLUSTER_DATA_BYTES,
-    MBUF_DATA_BYTES,
     Mbuf,
-    MbufChain,
     MbufExhausted,
     MbufPool,
 )

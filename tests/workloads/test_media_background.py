@@ -6,13 +6,12 @@ from repro.core.ctmsp import CTMSP_HEADER_BYTES
 from repro.experiments.testbed import HostConfig
 from repro.experiments.testbed import Testbed as _Testbed
 from repro.hardware import calibration
-from repro.sim.units import MS, SEC
+from repro.sim.units import SEC
 from repro.workloads.background import BackgroundTraffic, LightweightSender
 from repro.workloads.media import (
     CD_AUDIO,
     COMPRESSED_VIDEO,
     TELEPHONE_AUDIO,
-    MediaSource,
 )
 
 
@@ -71,21 +70,6 @@ def test_lightweight_sender_hits_target_rate():
     bed.run(20 * SEC)
     rate = sender.stats_sent / 20
     assert rate == pytest.approx(40.0, rel=0.2)
-
-
-def test_lightweight_sender_stop():
-    bed = _Testbed(seed=6, mac_utilization=0.0)
-    bed.add_host(HostConfig(name="a"))
-    bed.add_host(HostConfig(name="b"))
-    sender = LightweightSender(
-        bed, "src", "a", info_bytes=100, mean_packets_per_sec=100.0, rng=bed.rng
-    )
-    sender.start()
-    bed.run(1 * SEC)
-    count = sender.stats_sent
-    sender.stop()
-    bed.run(1 * SEC)
-    assert sender.stats_sent == count
 
 
 def test_background_traffic_produces_the_three_size_classes():
